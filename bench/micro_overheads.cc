@@ -124,6 +124,39 @@ void BM_PrebuiltPlanDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PrebuiltPlanDispatch)->Arg(16)->Arg(128);
 
+void BM_DynamicPlanDispatch(benchmark::State& state) {
+  // The tagged-token twin of BM_PrebuiltPlanDispatch: a prebuilt While-loop
+  // plan (i = 0; while (i < n) i = (i + 1) + 1, n = 32, so 16 iterations)
+  // run through Executor::Run(plan, ...). Every iteration routes tokens
+  // through Merge/Switch/NextIteration and the fused two-Add body.
+  Graph g;
+  const NodeOutput zero = g.Constant(Tensor::ScalarInt(0));
+  const NodeOutput n = g.Placeholder("n", DType::kInt64);
+  Node* enter_i = g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
+  Node* enter_n = g.AddNode(
+      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
+  Node* merge = g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
+  Node* less = g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
+  Node* sw = g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
+  Node* one = g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
+  Node* inc1 = g.AddNode("Add", {{sw, 1}, {one, 0}});
+  Node* inc2 = g.AddNode("Add", {{inc1, 0}, {one, 0}});
+  Node* next = g.AddNode("NextIteration", {{inc2, 0}});
+  merge->set_input(1, {next, 0});
+  Node* exit = g.AddNode("Exit", {{sw, 0}});
+  FunctionLibrary library;
+  VariableStore variables;
+  Rng rng(1);
+  Executor executor(&library, &variables, nullptr, &rng);
+  const auto plan = GetOrBuildPlan(g, std::vector<NodeOutput>{{exit, 0}});
+  const std::map<std::string, Tensor> feeds{{"n", Tensor::ScalarInt(32)}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(executor.Run(*plan, feeds));
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_DynamicPlanDispatch);
+
 void BM_FusedChain(benchmark::State& state) {
   // The fusion pass's headline effect: the same 16-op elementwise chain
   // dispatched per node (Arg 0) vs as one fused superop region (Arg 1).

@@ -1,7 +1,7 @@
 // DAG strategy: executes a precompiled ExecutionPlan over dependency
 // countdown, sequentially or fanned out to a thread pool. All scheduling
-// data (dense indices, pending counts, consumer lists, resolved kernels)
-// comes from the plan; the only per-run state is the countdown/output array.
+// data (dense indices, pending counts, out-edges, resolved kernels) comes
+// from the plan; the only per-run state is the countdown/output array.
 //
 // Buffer liveness follows the plan's MemoryPlan: every data read of a
 // producer's outputs counts its `reads_remaining` down, and the read that
@@ -25,7 +25,7 @@ namespace janus {
 namespace internal {
 namespace {
 
-struct DagNodeState {
+struct NodeState {
   int pending = 0;
   std::atomic<int> reads_remaining{0};
   std::vector<Tensor> outputs;
@@ -36,16 +36,16 @@ struct DagNodeState {
 std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
                                const Bindings& bindings, bool parallel,
                                const Precomputed* precomputed) {
-  const std::vector<ExecutionPlan::DagNode>& nodes = plan.dag_nodes();
+  const std::vector<ExecutionPlan::PlanNode>& nodes = plan.nodes();
   const MemoryPlan& memory = plan.memory();
-  std::vector<DagNodeState> states(nodes.size());
+  std::vector<NodeState> states(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     states[i].pending = nodes[i].initial_pending;
-    states[i].reads_remaining.store(memory.dag[i].output_reads,
+    states[i].reads_remaining.store(memory.nodes[i].output_reads,
                                     std::memory_order_relaxed);
   }
 
-  const auto release_outputs = [&](DagNodeState& state) {
+  const auto release_outputs = [&](NodeState& state) {
     run.buffers_released.fetch_add(
         static_cast<std::int64_t>(state.outputs.size()),
         std::memory_order_relaxed);
@@ -61,10 +61,10 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
     const ProfRecord prof_record{profile, index,
                                  prof_sampled ? obs::Trace::NowNs() : 0,
                                  prof_sampled};
-    const ExecutionPlan::DagNode& entry =
+    const ExecutionPlan::PlanNode& entry =
         nodes[static_cast<std::size_t>(index)];
-    const MemoryPlan::DagNodeInfo& minfo =
-        memory.dag[static_cast<std::size_t>(index)];
+    const MemoryPlan::NodeInfo& minfo =
+        memory.nodes[static_cast<std::size_t>(index)];
     auto& state = states[static_cast<std::size_t>(index)];
     if (precomputed != nullptr) {
       const auto it = precomputed->find(entry.node);
@@ -88,9 +88,11 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
       default:
         break;
     }
+    const std::span<const ExecutionPlan::Input> entry_inputs =
+        plan.inputs(entry);
     std::vector<Tensor> inputs;
-    inputs.reserve(entry.inputs.size());
-    for (const ExecutionPlan::DagInput& input : entry.inputs) {
+    inputs.reserve(entry_inputs.size());
+    for (const ExecutionPlan::Input& input : entry_inputs) {
       const auto& producer = states[static_cast<std::size_t>(input.producer)];
       inputs.push_back(
           producer.outputs.at(static_cast<std::size_t>(input.slot)));
@@ -100,11 +102,11 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
     // completes. The acq_rel countdown orders every consumer's copy before
     // the clearing thread's release, so this is safe under the parallel
     // scheduler too.
-    for (const ExecutionPlan::DagInput& input : entry.inputs) {
+    for (const ExecutionPlan::Input& input : entry_inputs) {
       auto& producer = states[static_cast<std::size_t>(input.producer)];
       if (producer.reads_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
               1 &&
-          !memory.dag[static_cast<std::size_t>(input.producer)]
+          !memory.nodes[static_cast<std::size_t>(input.producer)]
                .fetch_protected) {
         release_outputs(producer);
       }
@@ -140,10 +142,10 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
       ready.pop_front();
       run_node(index);
       ++executed;
-      for (const int consumer :
-           nodes[static_cast<std::size_t>(index)].consumers) {
-        if (--states[static_cast<std::size_t>(consumer)].pending == 0) {
-          ready.push_back(consumer);
+      for (const ExecutionPlan::OutEdge& edge :
+           plan.out_edges(nodes[static_cast<std::size_t>(index)])) {
+        if (--states[static_cast<std::size_t>(edge.consumer)].pending == 0) {
+          ready.push_back(edge.consumer);
         }
       }
     }
@@ -169,10 +171,11 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
       std::vector<int> newly_ready;
       {
         const std::lock_guard<std::mutex> lock(mu);
-        for (const int consumer :
-             nodes[static_cast<std::size_t>(index)].consumers) {
-          if (--states[static_cast<std::size_t>(consumer)].pending == 0) {
-            newly_ready.push_back(consumer);
+        for (const ExecutionPlan::OutEdge& edge :
+             plan.out_edges(nodes[static_cast<std::size_t>(index)])) {
+          if (--states[static_cast<std::size_t>(edge.consumer)].pending ==
+              0) {
+            newly_ready.push_back(edge.consumer);
           }
         }
         --remaining;
@@ -202,8 +205,8 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
   }
 
   std::vector<Tensor> results;
-  results.reserve(plan.dag_fetch_slots().size());
-  for (const ExecutionPlan::DagInput& fetch : plan.dag_fetch_slots()) {
+  results.reserve(plan.fetch_slots().size());
+  for (const ExecutionPlan::Input& fetch : plan.fetch_slots()) {
     const auto& state = states[static_cast<std::size_t>(fetch.producer)];
     results.push_back(state.outputs.at(static_cast<std::size_t>(fetch.slot)));
   }

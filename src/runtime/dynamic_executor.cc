@@ -66,7 +66,8 @@ struct PendingNode {
 
 std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
                                    const Bindings& bindings) {
-  const std::vector<ExecutionPlan::DynNode>& nodes = plan.dyn_nodes();
+  const std::vector<ExecutionPlan::PlanNode>& nodes = plan.nodes();
+  const MemoryPlan& memory = plan.memory();
   obs::PlanProfile* const profile = plan.profile();
 
   // Execution state per (node, tag); nodes are dense plan indices.
@@ -92,8 +93,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
   std::unordered_map<std::string, FrameConstants> frame_constants;
 
   // Fetch bookkeeping: fetches resolve at the root tag.
-  const std::vector<ExecutionPlan::DagInput>& fetch_slots =
-      plan.dyn_fetch_slots();
+  const std::vector<ExecutionPlan::Input>& fetch_slots = plan.fetch_slots();
   std::vector<std::optional<Tensor>> fetched(fetch_slots.size());
   std::size_t fetches_outstanding = fetch_slots.size();
 
@@ -116,21 +116,23 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
 
   const auto deliver_to = [&](int consumer, int slot, const std::string& tag,
                               const Token& token) {
-    const ExecutionPlan::DynNode& info =
+    const ExecutionPlan::PlanNode& info =
         nodes[static_cast<std::size_t>(consumer)];
-    const int required_inputs = static_cast<int>(info.inputs.size());
+    const std::span<const ExecutionPlan::Input> info_inputs =
+        plan.inputs(info);
+    const int required_inputs = static_cast<int>(info_inputs.size());
     const Key key{consumer, tag};
     auto& state = pending[key];
     if (!state.initialized) {
       state.initialized = true;
       state.inputs.resize(static_cast<std::size_t>(required_inputs));
-      state.control_pending = static_cast<int>(info.control_producers.size());
+      state.control_pending = static_cast<int>(plan.controls(info).size());
       if (!tag.empty()) {
         // Prefill inputs produced by tag-polymorphic sources; at the root
         // tag they are delivered through the normal seeding pass instead.
         for (int i = 0; i < required_inputs; ++i) {
-          const ExecutionPlan::DagInput& input =
-              info.inputs[static_cast<std::size_t>(i)];
+          const ExecutionPlan::Input& input =
+              info_inputs[static_cast<std::size_t>(i)];
           if (is_source_producer(input.producer)) {
             state.inputs[static_cast<std::size_t>(i)] =
                 source_values[static_cast<std::size_t>(input.producer)].at(
@@ -138,7 +140,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
             ++state.arrived;
           }
         }
-        for (const int control : info.control_producers) {
+        for (const int control : plan.controls(info)) {
           if (is_source_producer(control)) --state.control_pending;
         }
       }
@@ -191,10 +193,10 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
 
   deliver_output = [&](int producer, int index, const std::string& tag,
                        const Token& token) {
-    const ExecutionPlan::DynNode& info =
-        nodes[static_cast<std::size_t>(producer)];
-    // Fetches resolve only at the root tag.
-    if (tag.empty()) {
+    // Fetches resolve only at the root tag, and only fetch-protected
+    // producers feed a fetch slot.
+    if (tag.empty() &&
+        memory.nodes[static_cast<std::size_t>(producer)].fetch_protected) {
       for (std::size_t i = 0; i < fetch_slots.size(); ++i) {
         if (fetch_slots[i].producer == producer &&
             fetch_slots[i].slot == index && !fetched[i].has_value() &&
@@ -204,13 +206,19 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
         }
       }
     }
-    for (const ExecutionPlan::DynEdge& edge :
-         info.out_edges[static_cast<std::size_t>(index)]) {
-      deliver_to(edge.consumer, edge.input_slot, tag, token);
-    }
-    if (index == 0) {
-      for (const ExecutionPlan::DynEdge& edge : info.control_edges) {
-        deliver_to(edge.consumer, -1, tag, token);
+    // Control edges fire off output 0; a data edge carries this output
+    // iff the consumer's input at its slot reads it.
+    for (const ExecutionPlan::OutEdge& edge :
+         plan.out_edges(nodes[static_cast<std::size_t>(producer)])) {
+      if (edge.input_slot < 0) {
+        if (index == 0) deliver_to(edge.consumer, -1, tag, token);
+        continue;
+      }
+      const ExecutionPlan::PlanNode& consumer =
+          nodes[static_cast<std::size_t>(edge.consumer)];
+      if (plan.inputs(consumer)[static_cast<std::size_t>(edge.input_slot)]
+              .slot == index) {
+        deliver_to(edge.consumer, edge.input_slot, tag, token);
       }
     }
   };
@@ -229,13 +237,15 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
   // RandomNormal, ...) with no control dependencies execute exactly once per
   // run, so their outputs are also tag-polymorphic sources.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const ExecutionPlan::DynNode& info = nodes[i];
+    const ExecutionPlan::PlanNode& info = nodes[i];
     if (!info.is_root_source) continue;
     const bool prof_sampled = obs::ShouldSampleProfileNode();
     const ProfRecord prof_record{profile, static_cast<int>(i),
                                  prof_sampled ? obs::Trace::NowNs() : 0,
                                  prof_sampled};
-    if (info.kind != OpKind::kKernel) {
+    if (info.kind == OpKind::kConst) {
+      source_values[i] = {Token{info.const_value, false}};
+    } else if (info.kind != OpKind::kKernel) {
       source_values[i] = {
           Token{ResolveSource(run, info.kind, *info.node, bindings), false}};
     } else {
@@ -263,7 +273,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
   while (!ready.empty() && fetches_outstanding > 0) {
     auto [key, state] = std::move(ready.front());
     ready.pop_front();
-    const ExecutionPlan::DynNode& info =
+    const ExecutionPlan::PlanNode& info =
         nodes[static_cast<std::size_t>(key.node)];
     const Node& node = *info.node;
     const std::string& tag = key.tag;
@@ -322,8 +332,9 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
         continue;
       }
       case OpKind::kEnter: {
-        const std::string child = ChildTag(tag, info.frame);
-        if (info.is_constant_enter && !tokens.at(0).dead) {
+        const ExecutionPlan::EnterFrame& frame = plan.enter_frame(info);
+        const std::string child = ChildTag(tag, frame.name);
+        if (frame.is_constant && !tokens.at(0).dead) {
           frame_constants[FrameBase(child)].values.push_back(
               {key.node, tokens.at(0)});
           frame_constants[FrameBase(child)].seeded_tags.insert(child);
@@ -358,8 +369,8 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
     inputs.reserve(tokens.size());
     for (Token& token : tokens) inputs.push_back(std::move(token.value));
     std::vector<Tensor> outputs;
-    const bool in_place = plan.memory().dyn_in_place[
-                              static_cast<std::size_t>(key.node)] != 0;
+    const bool in_place =
+        memory.nodes[static_cast<std::size_t>(key.node)].in_place_capable;
     if (info.kind == OpKind::kFusedRegion) {
       ExecuteFusedRegion(run, *info.fused, inputs, outputs, in_place,
                          /*precomputed=*/nullptr);
@@ -376,7 +387,8 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
     std::string detail;
     for (std::size_t i = 0; i < fetch_slots.size(); ++i) {
       if (!fetched[i].has_value()) {
-        detail += " " + plan.fetches()[i].node->DebugString();
+        detail += ' ';
+        detail += plan.fetches()[i].node->DebugString();
       }
     }
     detail += " | pending:";

@@ -16,9 +16,6 @@ namespace internal {
 
 Tensor ResolveSource(RunContext& run, ExecutionPlan::OpKind kind,
                      const Node& node, const Bindings& bindings) {
-  if (kind == ExecutionPlan::OpKind::kConst) {
-    return node.GetTensorAttr("value");
-  }
   if (kind == ExecutionPlan::OpKind::kParam) {
     const auto it = bindings.find(&node);
     if (it == bindings.end()) {
@@ -175,10 +172,7 @@ std::vector<Tensor> Executor::RunPlan(
     const ExecutionPlan& plan, const std::map<std::string, Tensor>& feeds,
     RunContext& run) {
   obs::TraceScope span("execute_plan", "executor");
-  span.set_arg("nodes",
-               plan.strategy() == ExecutionPlan::Strategy::kDynamic
-                   ? static_cast<std::int64_t>(plan.dyn_nodes().size())
-                   : static_cast<std::int64_t>(plan.dag_nodes().size()));
+  span.set_arg("nodes", static_cast<std::int64_t>(plan.nodes().size()));
   run.feeds = &feeds;
   run.variables = variables_;
   run.host_state = host_state_;

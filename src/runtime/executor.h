@@ -139,6 +139,8 @@ struct ProfRecord {
 };
 
 // Shared by both strategy implementations (defined in executor.cc).
+// ResolveSource serves Placeholder and Param nodes; Const values come from
+// PlanNode::const_value.
 Tensor ResolveSource(RunContext& run, ExecutionPlan::OpKind kind,
                      const Node& node, const Bindings& bindings);
 void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,

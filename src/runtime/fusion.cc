@@ -2,8 +2,7 @@
 //
 // Layout of this file:
 //   1. Kill switch (JANUS_FUSION).
-//   2. Fusable-op table and region formation (shared core over a strategy-
-//      neutral candidate view, then DAG / dynamic rewrites).
+//   2. Fusable-op table, region formation, and the plan rewrite.
 //   3. Runtime specialization (FusedSpec): dtype/shape propagation that
 //      mirrors the unfused kernels' checks exactly, block-kernel selection,
 //      scratch layout, and the content-addressed FusedKernelCache.
@@ -17,8 +16,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "cache/fused_kernel_cache.h"
@@ -51,11 +51,9 @@ void SetGloballyEnabled(bool enabled) {
 
 namespace {
 
-using DagInput = ExecutionPlan::DagInput;
-using DagNode = ExecutionPlan::DagNode;
-using DynEdge = ExecutionPlan::DynEdge;
-using DynNode = ExecutionPlan::DynNode;
+using Input = ExecutionPlan::Input;
 using OpKind = ExecutionPlan::OpKind;
+using PlanNode = ExecutionPlan::PlanNode;
 
 // ---------------------------------------------------------------------------
 // Fusable-op table.
@@ -105,7 +103,7 @@ const std::unordered_map<std::string_view, OpEntry>& FusableOps() {
 }
 
 // ---------------------------------------------------------------------------
-// Region formation over a strategy-neutral candidate view.
+// Region formation over a candidate view of the plan.
 // ---------------------------------------------------------------------------
 
 struct Candidate {
@@ -116,7 +114,7 @@ struct Candidate {
   bool reduction = false;    // fusable reduction; root only
   bool has_control = false;  // any control producer or consumer
   bool is_protected = false; // feeds a fetch slot
-  std::span<const DagInput> inputs;
+  std::span<const Input> inputs;
   std::vector<int> data_consumers;  // deduplicated dense indices
 };
 
@@ -163,7 +161,7 @@ std::vector<std::vector<int>> CollectRegions(
     while (changed) {
       changed = false;
       for (std::size_t mi = 0; mi < members.size(); ++mi) {
-        for (const DagInput& input :
+        for (const Input& input :
              cand[static_cast<std::size_t>(members[mi])].inputs) {
           const auto up = static_cast<std::size_t>(input.producer);
           if (input.slot != 0 || in_region[up]) continue;
@@ -197,9 +195,8 @@ std::vector<std::vector<int>> CollectRegions(
 
 struct RegionRewrite {
   std::shared_ptr<FusedRegionPlan> plan;
-  std::vector<int> members;        // old dense indices, ascending (root last)
-  std::vector<DagInput> externals; // old coordinates, in value-id order
-  int root = -1;
+  std::vector<Input> externals;  // old coordinates, in value-id order
+  int root = -1;                 // old dense index of the root member
 };
 
 // Builds the register program: external (producer, slot) pairs dedupe onto
@@ -207,7 +204,6 @@ struct RegionRewrite {
 RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
                                  const std::vector<Candidate>& cand) {
   RegionRewrite rw;
-  rw.members = members;
   rw.root = members.back();
   rw.plan = std::make_shared<FusedRegionPlan>();
   FusedRegionPlan& plan = *rw.plan;
@@ -218,7 +214,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
   }
   std::map<std::pair<int, int>, int> external_ids;
   for (const int m : members) {
-    for (const DagInput& input : cand[static_cast<std::size_t>(m)].inputs) {
+    for (const Input& input : cand[static_cast<std::size_t>(m)].inputs) {
       if (member_ordinal.find(input.producer) != member_ordinal.end()) continue;
       const auto key = std::make_pair(input.producer, input.slot);
       if (external_ids.find(key) == external_ids.end()) {
@@ -241,7 +237,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
     member.value_id = num_externals + static_cast<int>(i);
     int* slots[2] = {&member.a, &member.b};
     int slot_index = 0;
-    for (const DagInput& input : c.inputs) {
+    for (const Input& input : c.inputs) {
       int id;
       const auto mit = member_ordinal.find(input.producer);
       if (mit != member_ordinal.end()) {
@@ -282,38 +278,32 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// DAG rewrite.
+// Plan rewrite.
 // ---------------------------------------------------------------------------
 
-int FuseDagPlan(std::vector<DagNode>& nodes, std::vector<DagInput>& fetch_slots,
-                std::unordered_map<const Node*, int>& dag_index,
-                std::vector<std::shared_ptr<const FusedRegionPlan>>& regions) {
+int FusePlan(ExecutionPlan& plan) {
+  std::vector<PlanNode>& nodes = plan.nodes_;
   const std::size_t n = nodes.size();
   std::vector<Candidate> cand(n);
-  std::vector<std::unordered_set<int>> consumer_sets(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[i];
-    cand[i].node = entry.node;
-    cand[i].kernel = entry.kernel;
-    cand[i].inputs = entry.inputs;
-    cand[i].has_control = !entry.node->control_inputs().empty();
-    if (entry.kind == OpKind::kKernel) ClassifyCandidate(cand[i]);
-    for (const DagInput& input : entry.inputs) {
-      consumer_sets[static_cast<std::size_t>(input.producer)].insert(
-          static_cast<int>(i));
-    }
-    for (const Node* control : entry.node->control_inputs()) {
-      const auto it = dag_index.find(control);
-      if (it != dag_index.end()) {
-        cand[static_cast<std::size_t>(it->second)].has_control = true;
+    const PlanNode& entry = nodes[i];
+    Candidate& c = cand[i];
+    c.node = entry.node;
+    c.kernel = entry.kernel;
+    c.inputs = plan.inputs(entry);
+    c.has_control = !plan.controls(entry).empty();
+    if (entry.kind == OpKind::kKernel) ClassifyCandidate(c);
+    // Out-edges are sorted by consumer, so duplicates are adjacent.
+    for (const ExecutionPlan::OutEdge& edge : plan.out_edges(entry)) {
+      if (edge.input_slot < 0) {
+        c.has_control = true;
+      } else if (c.data_consumers.empty() ||
+                 c.data_consumers.back() != edge.consumer) {
+        c.data_consumers.push_back(edge.consumer);
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    cand[i].data_consumers.assign(consumer_sets[i].begin(),
-                                  consumer_sets[i].end());
-  }
-  for (const DagInput& fetch : fetch_slots) {
+  for (const Input& fetch : plan.fetch_slots_) {
     cand[static_cast<std::size_t>(fetch.producer)].is_protected = true;
   }
 
@@ -340,159 +330,57 @@ int FuseDagPlan(std::vector<DagNode>& nodes, std::vector<DagInput>& fetch_slots,
     if (!interior[i]) remap[i] = next++;
   }
 
-  std::vector<DagNode> out;
+  // Compact the node array. The region node takes its root's position
+  // (preserving topological order) and reads the region's deduplicated
+  // externals; Link() then derives one out-edge per external, so a value
+  // consumed by k members reaches the region once.
+  std::vector<PlanNode> out;
   out.reserve(static_cast<std::size_t>(next));
+  std::vector<Input> input_edges;
+  std::vector<int> control_edges;
+  const auto remapped = [&remap](int index) {
+    return remap[static_cast<std::size_t>(index)];
+  };
   for (std::size_t i = 0; i < n; ++i) {
     if (interior[i]) continue;
-    DagNode entry = std::move(nodes[i]);
+    PlanNode entry = std::move(nodes[i]);
+    std::span<const Input> inputs = plan.inputs(entry);
     const int region = region_of[i];
-    if (region >= 0 && static_cast<int>(i) == rewrites[region].root) {
-      RegionRewrite& rw = rewrites[static_cast<std::size_t>(region)];
+    if (region >= 0) {
+      const RegionRewrite& rw = rewrites[static_cast<std::size_t>(region)];
       entry.kind = OpKind::kFusedRegion;
       entry.kernel = nullptr;
       entry.fused = rw.plan.get();
-      entry.inputs = rw.externals;
+      inputs = rw.externals;
     }
-    entry.consumers.clear();
-    entry.initial_pending = 0;
+    entry.inputs.begin = static_cast<int>(input_edges.size());
+    for (const Input& input : inputs) {
+      input_edges.push_back({remapped(input.producer), input.slot});
+    }
+    entry.inputs.end = static_cast<int>(input_edges.size());
+    const std::span<const int> controls = plan.controls(entry);
+    entry.controls.begin = static_cast<int>(control_edges.size());
+    for (const int control : controls) {
+      control_edges.push_back(remapped(control));
+    }
+    entry.controls.end = static_cast<int>(control_edges.size());
     out.push_back(std::move(entry));
   }
-  for (DagNode& entry : out) {
-    for (DagInput& input : entry.inputs) {
-      input.producer = remap[static_cast<std::size_t>(input.producer)];
-    }
-  }
-  // Interior nodes resolve to their region's dense index (DagIndexOf).
-  for (auto& [node, index] : dag_index) {
+  // Interior nodes resolve to their region's dense index (IndexOf).
+  for (auto& [node, index] : plan.index_) {
     const auto u = static_cast<std::size_t>(index);
-    index = interior[u]
-                ? remap[static_cast<std::size_t>(
-                      rewrites[static_cast<std::size_t>(region_of[u])].root)]
-                : remap[u];
+    index = remapped(
+        interior[u] ? rewrites[static_cast<std::size_t>(region_of[u])].root
+                    : index);
   }
-  // Rebuild dependency counts and consumer adjacency (mirrors BuildDag, but
-  // over the rewritten inputs: a region's inputs are its externals, not the
-  // root Node's graph inputs).
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    DagNode& entry = out[i];
-    std::unordered_set<int> producers;
-    for (const DagInput& input : entry.inputs) producers.insert(input.producer);
-    for (const Node* control : entry.node->control_inputs()) {
-      producers.insert(dag_index.at(control));
-    }
-    entry.initial_pending = static_cast<int>(producers.size());
-    for (const int producer : producers) {
-      out[static_cast<std::size_t>(producer)].consumers.push_back(
-          static_cast<int>(i));
-    }
-  }
-  for (DagInput& slot : fetch_slots) {
-    slot.producer = remap[static_cast<std::size_t>(slot.producer)];
-  }
+  for (Input& slot : plan.fetch_slots_) slot.producer = remapped(slot.producer);
   nodes = std::move(out);
-  for (RegionRewrite& rw : rewrites) regions.push_back(std::move(rw.plan));
-  return static_cast<int>(rewrites.size());
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic (tagged-token) rewrite.
-// ---------------------------------------------------------------------------
-
-int FuseDynPlan(std::vector<DynNode>& nodes, std::vector<DagInput>& fetch_slots,
-                std::vector<std::shared_ptr<const FusedRegionPlan>>& regions) {
-  const std::size_t n = nodes.size();
-  std::vector<Candidate> cand(n);
-  std::vector<std::unordered_set<int>> consumer_sets(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DynNode& entry = nodes[i];
-    cand[i].node = entry.node;
-    cand[i].kernel = entry.kernel;
-    cand[i].inputs = entry.inputs;
-    cand[i].has_control =
-        !entry.control_producers.empty() || !entry.control_edges.empty();
-    if (entry.kind == OpKind::kKernel && !entry.is_root_source) {
-      ClassifyCandidate(cand[i]);
-    }
-    for (const auto& slot_edges : entry.out_edges) {
-      for (const DynEdge& edge : slot_edges) {
-        if (edge.input_slot >= 0) consumer_sets[i].insert(edge.consumer);
-      }
-    }
+  plan.input_edges_ = std::move(input_edges);
+  plan.control_edges_ = std::move(control_edges);
+  plan.Link();
+  for (RegionRewrite& rw : rewrites) {
+    plan.fused_regions_.push_back(std::move(rw.plan));
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    cand[i].data_consumers.assign(consumer_sets[i].begin(),
-                                  consumer_sets[i].end());
-  }
-  for (const DagInput& fetch : fetch_slots) {
-    cand[static_cast<std::size_t>(fetch.producer)].is_protected = true;
-  }
-
-  const std::vector<std::vector<int>> found = CollectRegions(cand);
-  if (found.empty()) return 0;
-
-  std::vector<RegionRewrite> rewrites;
-  std::vector<char> interior(n, 0);
-  for (const std::vector<int>& members : found) {
-    rewrites.push_back(BuildRegionRewrite(members, cand));
-    for (const int m : members) {
-      if (m != rewrites.back().root) interior[static_cast<std::size_t>(m)] = 1;
-    }
-  }
-
-  // Rewire on the old arrays first: each external (producer, slot) loses its
-  // edges into region members and gains exactly ONE edge into the region at
-  // the external's value-id slot (token deduplication: a value consumed by k
-  // members arrives once).
-  for (const RegionRewrite& rw : rewrites) {
-    std::unordered_set<int> member_set(rw.members.begin(), rw.members.end());
-    for (std::size_t e = 0; e < rw.externals.size(); ++e) {
-      const DagInput& ext = rw.externals[e];
-      auto& edges = nodes[static_cast<std::size_t>(ext.producer)]
-                        .out_edges[static_cast<std::size_t>(ext.slot)];
-      std::erase_if(edges, [&](const DynEdge& edge) {
-        return edge.input_slot >= 0 &&
-               member_set.find(edge.consumer) != member_set.end();
-      });
-      edges.push_back({rw.root, static_cast<int>(e)});
-    }
-    DynNode& root_entry = nodes[static_cast<std::size_t>(rw.root)];
-    root_entry.kind = OpKind::kFusedRegion;
-    root_entry.kernel = nullptr;
-    root_entry.fused = rw.plan.get();
-    root_entry.inputs = rw.externals;
-  }
-
-  std::vector<int> remap(n, -1);
-  int next = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!interior[i]) remap[i] = next++;
-  }
-  std::vector<DynNode> out;
-  out.reserve(static_cast<std::size_t>(next));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (interior[i]) continue;
-    DynNode entry = std::move(nodes[i]);
-    for (DagInput& input : entry.inputs) {
-      input.producer = remap[static_cast<std::size_t>(input.producer)];
-    }
-    for (int& producer : entry.control_producers) {
-      producer = remap[static_cast<std::size_t>(producer)];
-    }
-    for (auto& slot_edges : entry.out_edges) {
-      for (DynEdge& edge : slot_edges) {
-        edge.consumer = remap[static_cast<std::size_t>(edge.consumer)];
-      }
-    }
-    for (DynEdge& edge : entry.control_edges) {
-      edge.consumer = remap[static_cast<std::size_t>(edge.consumer)];
-    }
-    out.push_back(std::move(entry));
-  }
-  for (DagInput& slot : fetch_slots) {
-    slot.producer = remap[static_cast<std::size_t>(slot.producer)];
-  }
-  nodes = std::move(out);
-  for (RegionRewrite& rw : rewrites) regions.push_back(std::move(rw.plan));
   return static_cast<int>(rewrites.size());
 }
 

@@ -37,11 +37,9 @@
 #define JANUS_RUNTIME_FUSION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -135,21 +133,12 @@ struct FusedRegionPlan {
   mutable std::shared_ptr<const FusedSpec> memo GUARDED_BY(memo_mu);
 };
 
-// Fusion passes, invoked by ExecutionPlan::Build after the dense schedule is
-// constructed. Both rewrite the node array in place: interior members
-// disappear, the region node takes the root's position (preserving
-// topological order), and all adjacency/fetch indices are remapped. Returns
-// the number of regions formed.
-int FuseDagPlan(
-    std::vector<ExecutionPlan::DagNode>& nodes,
-    std::vector<ExecutionPlan::DagInput>& fetch_slots,
-    std::unordered_map<const Node*, int>& dag_index,
-    std::vector<std::shared_ptr<const FusedRegionPlan>>& regions);
-
-int FuseDynPlan(
-    std::vector<ExecutionPlan::DynNode>& nodes,
-    std::vector<ExecutionPlan::DagInput>& fetch_slots,
-    std::vector<std::shared_ptr<const FusedRegionPlan>>& regions);
+// The fusion pass, invoked by ExecutionPlan::Build after the dense schedule
+// is constructed. Rewrites the plan in place: interior members disappear,
+// the region node takes the root's position (preserving topological order)
+// and reads the region's externals, and every edge span, index-map entry and
+// fetch slot is remapped. Returns the number of regions formed.
+int FusePlan(ExecutionPlan& plan);
 
 namespace internal {
 

@@ -11,6 +11,8 @@
 //                        instead of at end-of-run teardown.
 //   * fetch_protected  — the node feeds a fetch slot; its outputs must
 //                        survive to the end of the run and are never dropped.
+//                        The dynamic executor, whose liveness comes from token
+//                        lifetimes, reads only this bit and the next one.
 //   * in_place_capable — the node's kernel is a same-index elementwise op,
 //                        so the executor may open an InPlaceScope around its
 //                        invocation, letting Tensor::OutputBuffer overwrite a
@@ -25,7 +27,6 @@
 #ifndef JANUS_RUNTIME_MEMORY_PLAN_H_
 #define JANUS_RUNTIME_MEMORY_PLAN_H_
 
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -34,18 +35,14 @@ namespace janus {
 class ExecutionPlan;
 
 struct MemoryPlan {
-  struct DagNodeInfo {
+  struct NodeInfo {
     int output_reads = 0;
     bool fetch_protected = false;
     bool in_place_capable = false;
   };
 
-  // Parallel to ExecutionPlan::dag_nodes().
-  std::vector<DagNodeInfo> dag;
-  // Parallel to ExecutionPlan::dyn_nodes(): 1 if the node's kernel may run
-  // in place. The dynamic executor gets liveness for free from token
-  // lifetimes, so only the in-place bit is planned.
-  std::vector<std::uint8_t> dyn_in_place;
+  // Parallel to ExecutionPlan::nodes().
+  std::vector<NodeInfo> nodes;
 };
 
 // True for kernels that write output element i from input element(s) i only.

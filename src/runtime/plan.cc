@@ -41,6 +41,77 @@ bool IsSourceKind(ExecutionPlan::OpKind kind) {
          kind == OpKind::kParam;
 }
 
+// The nodes the fetches transitively need (through data and control edges),
+// in stable topological order. Side-effecting ops only run when anchored to
+// a fetch (the update-anchor NoOp convention).
+//
+// Freshly generated graphs insert nodes topologically, but optimization
+// passes append replacement nodes (folded constants, ZerosLike) at the END
+// of the graph while rewiring earlier consumers onto them — and both
+// fusion's region collection and the plan verifier rely on producers
+// preceding consumers in the dense array. Kahn's algorithm with a min-heap
+// on graph position keeps the order deterministic and as close to insertion
+// order as the edges allow.
+std::vector<const Node*> PrunedTopologicalOrder(
+    const Graph& graph, std::span<const NodeOutput> fetches) {
+  std::unordered_set<const Node*> needed;
+  std::vector<const Node*> stack;
+  for (const NodeOutput& fetch : fetches) stack.push_back(fetch.node);
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    if (!needed.insert(node).second) continue;
+    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
+    for (const Node* control : node->control_inputs()) {
+      stack.push_back(control);
+    }
+  }
+
+  std::vector<const Node*> graph_order;
+  graph_order.reserve(needed.size());
+  std::unordered_map<const Node*, int> position;
+  for (const auto& node : graph.nodes()) {
+    if (needed.find(node.get()) == needed.end()) continue;
+    position[node.get()] = static_cast<int>(graph_order.size());
+    graph_order.push_back(node.get());
+  }
+  // Counted per edge: a node is ready once every in-edge is satisfied.
+  std::vector<int> indegree(graph_order.size(), 0);
+  std::vector<std::vector<int>> dependents(graph_order.size());
+  for (std::size_t i = 0; i < graph_order.size(); ++i) {
+    const auto depend_on = [&](const Node* producer) {
+      dependents[static_cast<std::size_t>(position.at(producer))].push_back(
+          static_cast<int>(i));
+      ++indegree[i];
+    };
+    for (const NodeOutput& input : graph_order[i]->inputs()) {
+      depend_on(input.node);
+    }
+    for (const Node* control : graph_order[i]->control_inputs()) {
+      depend_on(control);
+    }
+  }
+  std::priority_queue<int, std::vector<int>, std::greater<>> ready;
+  for (std::size_t i = 0; i < graph_order.size(); ++i) {
+    if (indegree[i] == 0) ready.push(static_cast<int>(i));
+  }
+  std::vector<const Node*> order;
+  order.reserve(graph_order.size());
+  while (!ready.empty()) {
+    const auto i = static_cast<std::size_t>(ready.top());
+    ready.pop();
+    order.push_back(graph_order[i]);
+    for (const int consumer : dependents[i]) {
+      if (--indegree[static_cast<std::size_t>(consumer)] == 0) {
+        ready.push(consumer);
+      }
+    }
+  }
+  // Cycle: schedule in graph order and let the executor's executed-count
+  // check report it.
+  return order.size() == graph_order.size() ? order : graph_order;
+}
+
 // The installed post-build verification hook (nullptr = none). Relaxed is
 // enough: installation happens once at engine attach / static init, and a
 // build that misses a just-installed hook only skips one verification.
@@ -72,27 +143,25 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
   auto plan = std::shared_ptr<ExecutionPlan>(new ExecutionPlan());
   plan->fetches_.assign(fetches.begin(), fetches.end());
   plan->graph_version_ = graph.version();
+  std::vector<const Node*> order;
   if (GraphNeedsDynamicExecution(graph)) {
+    // The dynamic strategy covers the whole graph: deadness propagation,
+    // not reachability pruning, decides what executes.
     plan->strategy_ = Strategy::kDynamic;
-    plan->BuildDynamic(graph);
+    order.reserve(graph.nodes().size());
+    for (const auto& node : graph.nodes()) order.push_back(node.get());
   } else {
     plan->strategy_ = Strategy::kDag;
-    plan->BuildDag(graph);
+    order = PrunedTopologicalOrder(graph, fetches);
   }
+  plan->Populate(order);
   // Fusion rewrites the schedule in place (interior members disappear) and
   // must run before the memory plan: liveness is computed over the fused
   // node array, so interior values are never materialized or tracked.
   if (options.enable_fusion && fusion::GloballyEnabled()) {
     obs::TraceScope fusion_span("fusion", "runtime");
-    int regions = 0;
-    if (plan->strategy_ == Strategy::kDag) {
-      regions = FuseDagPlan(plan->dag_nodes_, plan->dag_fetch_slots_,
-                            plan->dag_index_, plan->fused_regions_);
-    } else {
-      regions = FuseDynPlan(plan->dyn_nodes_, plan->dyn_fetch_slots_,
-                            plan->fused_regions_);
-    }
-    fusion_span.set_arg("regions", static_cast<std::int64_t>(regions));
+    fusion_span.set_arg("regions",
+                        static_cast<std::int64_t>(FusePlan(*plan)));
   }
   plan->memory_ = BuildMemoryPlan(*plan);
 
@@ -133,18 +202,9 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
       return info;
     };
     std::vector<obs::ProfileNodeInfo> infos;
-    if (plan->strategy_ == Strategy::kDag) {
-      infos.reserve(plan->dag_nodes_.size());
-      for (const DagNode& dag_node : plan->dag_nodes_) {
-        infos.push_back(
-            info_of(dag_node.node, dag_node.kind, dag_node.fused));
-      }
-    } else {
-      infos.reserve(plan->dyn_nodes_.size());
-      for (const DynNode& dyn_node : plan->dyn_nodes_) {
-        infos.push_back(
-            info_of(dyn_node.node, dyn_node.kind, dyn_node.fused));
-      }
+    infos.reserve(plan->nodes_.size());
+    for (const PlanNode& entry : plan->nodes_) {
+      infos.push_back(info_of(entry.node, entry.kind, entry.fused));
     }
     plan->profile_ = std::make_shared<obs::PlanProfile>(std::move(infos));
     obs::ProfileRegistry::Global().Register(plan->profile_);
@@ -156,176 +216,86 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
   return plan;
 }
 
-void ExecutionPlan::BuildDag(const Graph& graph) {
-  // Restrict execution to the nodes the fetches transitively need (through
-  // data and control edges): side-effecting ops only run when anchored to a
-  // fetch (the update-anchor NoOp convention).
-  std::unordered_set<const Node*> needed;
-  std::vector<const Node*> stack;
-  for (const NodeOutput& fetch : fetches_) stack.push_back(fetch.node);
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!needed.insert(node).second) continue;
-    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
-    for (const Node* control : node->control_inputs()) {
-      stack.push_back(control);
-    }
-  }
-
-  // Dense schedule in stable topological order. Freshly generated graphs
-  // insert nodes topologically, but optimization passes append replacement
-  // nodes (folded constants, ZerosLike) at the END of the graph while
-  // rewiring earlier consumers onto them — and both fusion's region
-  // collection and the plan verifier rely on producers preceding consumers
-  // in the dense array. Kahn's algorithm with a min-heap on graph position
-  // keeps the order deterministic and as close to insertion order as the
-  // edges allow.
-  std::vector<const Node*> order;
-  {
-    std::vector<const Node*> graph_order;
-    graph_order.reserve(needed.size());
-    std::unordered_map<const Node*, int> position;
-    for (const auto& node : graph.nodes()) {
-      if (needed.find(node.get()) == needed.end()) continue;
-      position[node.get()] = static_cast<int>(graph_order.size());
-      graph_order.push_back(node.get());
-    }
-    std::unordered_map<const Node*, int> indegree;
-    std::unordered_map<const Node*, std::vector<const Node*>> dependents;
-    for (const Node* node : graph_order) {
-      std::unordered_set<const Node*> producers;
-      for (const NodeOutput& input : node->inputs()) {
-        producers.insert(input.node);
-      }
-      for (const Node* control : node->control_inputs()) {
-        producers.insert(control);
-      }
-      indegree[node] = static_cast<int>(producers.size());
-      for (const Node* producer : producers) {
-        dependents[producer].push_back(node);
-      }
-    }
-    std::priority_queue<std::pair<int, const Node*>,
-                        std::vector<std::pair<int, const Node*>>,
-                        std::greater<>>
-        ready;
-    for (const Node* node : graph_order) {
-      if (indegree[node] == 0) ready.emplace(position[node], node);
-    }
-    order.reserve(graph_order.size());
-    while (!ready.empty()) {
-      const Node* node = ready.top().second;
-      ready.pop();
-      order.push_back(node);
-      for (const Node* consumer : dependents[node]) {
-        if (--indegree[consumer] == 0) {
-          ready.emplace(position[consumer], consumer);
-        }
-      }
-    }
-    if (order.size() != graph_order.size()) {
-      // Cycle: schedule in graph order and let the executor's
-      // executed-count check report it.
-      order = std::move(graph_order);
-    }
-  }
-
-  dag_nodes_.reserve(needed.size());
+void ExecutionPlan::Populate(const std::vector<const Node*>& order) {
+  nodes_.reserve(order.size());
   for (const Node* node : order) {
-    dag_index_[node] = static_cast<int>(dag_nodes_.size());
-    DagNode entry;
+    index_[node] = static_cast<int>(nodes_.size());
+    PlanNode entry;
     entry.node = node;
     entry.kind = ClassifyOp(node->op());
     if (entry.kind == OpKind::kKernel) {
       entry.kernel = &KernelRegistry::Global().Lookup(node->op());
     } else if (entry.kind == OpKind::kConst) {
       entry.const_value = node->GetTensorAttr("value");
+    } else if (entry.kind == OpKind::kEnter) {
+      entry.enter_frame = static_cast<int>(enter_frames_.size());
+      enter_frames_.push_back(
+          {node->GetStringAttr("frame"),
+           node->HasAttr("is_constant") && node->GetBoolAttr("is_constant")});
     }
-    dag_nodes_.push_back(std::move(entry));
+    nodes_.push_back(std::move(entry));
   }
-
-  for (std::size_t i = 0; i < dag_nodes_.size(); ++i) {
-    DagNode& entry = dag_nodes_[i];
-    const Node* node = entry.node;
-    std::unordered_set<int> producers;
-    entry.inputs.reserve(node->inputs().size());
-    for (const NodeOutput& input : node->inputs()) {
-      const int producer = dag_index_.at(input.node);
-      entry.inputs.push_back({producer, input.index});
-      producers.insert(producer);
+  for (PlanNode& entry : nodes_) {
+    entry.inputs.begin = static_cast<int>(input_edges_.size());
+    for (const NodeOutput& input : entry.node->inputs()) {
+      input_edges_.push_back({index_.at(input.node), input.index});
     }
-    for (const Node* control : node->control_inputs()) {
-      producers.insert(dag_index_.at(control));
+    entry.inputs.end = static_cast<int>(input_edges_.size());
+    entry.controls.begin = static_cast<int>(control_edges_.size());
+    for (const Node* control : entry.node->control_inputs()) {
+      control_edges_.push_back(index_.at(control));
     }
-    entry.initial_pending = static_cast<int>(producers.size());
-    for (const int producer : producers) {
-      dag_nodes_[static_cast<std::size_t>(producer)].consumers.push_back(
-          static_cast<int>(i));
-    }
+    entry.controls.end = static_cast<int>(control_edges_.size());
   }
-
-  dag_fetch_slots_.reserve(fetches_.size());
+  fetch_slots_.reserve(fetches_.size());
   for (const NodeOutput& fetch : fetches_) {
-    dag_fetch_slots_.push_back({dag_index_.at(fetch.node), fetch.index});
+    fetch_slots_.push_back({index_.at(fetch.node), fetch.index});
   }
+  Link();
 }
 
-void ExecutionPlan::BuildDynamic(const Graph& graph) {
-  // The dynamic strategy covers the whole graph: deadness propagation, not
-  // reachability pruning, decides what executes.
-  std::unordered_map<const Node*, int> index;
-  dyn_nodes_.reserve(graph.num_nodes());
-  for (const auto& node : graph.nodes()) {
-    index[node.get()] = static_cast<int>(dyn_nodes_.size());
-    DynNode entry;
-    entry.node = node.get();
-    entry.kind = ClassifyOp(node->op());
-    if (entry.kind == OpKind::kKernel) {
-      entry.kernel = &KernelRegistry::Global().Lookup(node->op());
+void ExecutionPlan::Link() {
+  // Counting sort of the in-edges by producer: visiting consumers in dense
+  // order (controls before data slots) leaves every producer's span sorted
+  // by (consumer, input_slot).
+  std::vector<int> cursor(nodes_.size() + 1, 0);
+  for (const PlanNode& entry : nodes_) {
+    for (const Input& input : inputs(entry)) {
+      ++cursor[static_cast<std::size_t>(input.producer) + 1];
     }
-    if (entry.kind == OpKind::kEnter) {
-      entry.frame = node->GetStringAttr("frame");
-      entry.is_constant_enter = node->HasAttr("is_constant") &&
-                                node->GetBoolAttr("is_constant");
+    for (const int control : controls(entry)) {
+      ++cursor[static_cast<std::size_t>(control) + 1];
     }
+  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    cursor[i + 1] += cursor[i];
+    nodes_[i].out = {cursor[i], cursor[i + 1]};
+  }
+  out_edges_.assign(static_cast<std::size_t>(cursor.back()), OutEdge{});
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    PlanNode& entry = nodes_[i];
+    const int consumer = static_cast<int>(i);
+    for (const int control : controls(entry)) {
+      out_edges_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(control)]++)] = {consumer, -1};
+    }
+    const std::span<const Input> data = inputs(entry);
+    for (std::size_t slot = 0; slot < data.size(); ++slot) {
+      out_edges_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(data[slot].producer)]++)] = {
+          consumer, static_cast<int>(slot)};
+    }
+    entry.initial_pending =
+        static_cast<int>(data.size() + controls(entry).size());
     entry.is_root_source =
         IsSourceKind(entry.kind) ||
-        (entry.kind == OpKind::kKernel && node->num_inputs() == 0 &&
-         node->control_inputs().empty());
-    entry.out_edges.resize(
-        static_cast<std::size_t>(std::max(1, node->num_outputs())));
-    dyn_nodes_.push_back(std::move(entry));
-  }
-  for (std::size_t i = 0; i < dyn_nodes_.size(); ++i) {
-    DynNode& entry = dyn_nodes_[i];
-    const Node* node = entry.node;
-    entry.inputs.reserve(node->inputs().size());
-    for (int slot = 0; slot < node->num_inputs(); ++slot) {
-      const NodeOutput input = node->input(slot);
-      const int producer = index.at(input.node);
-      entry.inputs.push_back({producer, input.index});
-      dyn_nodes_[static_cast<std::size_t>(producer)]
-          .out_edges[static_cast<std::size_t>(input.index)]
-          .push_back({static_cast<int>(i), slot});
-    }
-    entry.control_producers.reserve(node->control_inputs().size());
-    for (const Node* control : node->control_inputs()) {
-      const int producer = index.at(control);
-      entry.control_producers.push_back(producer);
-      dyn_nodes_[static_cast<std::size_t>(producer)].control_edges.push_back(
-          {static_cast<int>(i), -1});
-    }
-  }
-  dyn_fetch_slots_.reserve(fetches_.size());
-  for (const NodeOutput& fetch : fetches_) {
-    dyn_fetch_slots_.push_back({index.at(fetch.node), fetch.index});
+        (entry.kind == OpKind::kKernel && entry.initial_pending == 0);
   }
 }
 
-int ExecutionPlan::DagIndexOf(const Node* node) const {
-  const auto it = dag_index_.find(node);
-  return it == dag_index_.end() ? -1 : it->second;
+int ExecutionPlan::IndexOf(const Node* node) const {
+  const auto it = index_.find(node);
+  return it == index_.end() ? -1 : it->second;
 }
 
 std::shared_ptr<const ExecutionPlan> GetOrBuildPlan(

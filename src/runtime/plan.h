@@ -3,7 +3,7 @@
 // An ExecutionPlan is the immutable, per-graph compiled schedule that moves
 // every piece of per-run scheduling work out of the dispatch hot path:
 // strategy selection (DAG vs tagged-token dynamic), the fetch-reachable node
-// set, dense node indices, initial dependency counts, consumer adjacency,
+// set, dense node indices, initial dependency counts, out-edges,
 // resolved KernelFn pointers, pre-classified op kinds (no string compares at
 // run time), and fetch slots. A plan is built once per (graph, fetches) and
 // reused across every subsequent Executor::Run / nested RunFunction call —
@@ -11,10 +11,15 @@
 // Fig. 2) relies on, mirroring how TensorFlow caches a compiled executor per
 // graph.
 //
-// Plans are cached in the owning Graph's ExecCache (so every Graph,
-// including each GraphFunction body, carries its own plan) and additionally
+// Plans are cached in the owning Graph's cache::PlanCache (so every Graph,
+// including each GraphFunction body, carries its own plans) and additionally
 // pinned by CompiledGraph, which pre-builds plans for the main graph and
 // every library function at generation time.
+//
+// Both strategies share one representation: a dense PlanNode array whose
+// edges live in three flat vectors per plan (inputs, control producers,
+// out-edges), each node owning a [begin, end) span of each. The strategies
+// differ only in which nodes the array holds and in what order.
 #ifndef JANUS_RUNTIME_PLAN_H_
 #define JANUS_RUNTIME_PLAN_H_
 
@@ -69,54 +74,52 @@ class ExecutionPlan {
     kFusedRegion,
   };
 
-  // ---- DAG schedule (graphs without control-flow primitives) ----
-
-  // An input coordinate in dense plan indices: output `slot` of the node at
+  // A value coordinate in dense plan indices: output `slot` of the node at
   // dense index `producer`.
-  struct DagInput {
+  struct Input {
     int producer = 0;
     int slot = 0;
   };
 
-  struct DagNode {
-    const Node* node = nullptr;
-    OpKind kind = OpKind::kKernel;
-    const KernelFn* kernel = nullptr;  // resolved iff kind == kKernel
-    Tensor const_value;                // valid iff kind == kConst
-    const FusedRegionPlan* fused = nullptr;  // valid iff kind == kFusedRegion
-    int initial_pending = 0;
-    std::vector<DagInput> inputs;  // data inputs, in slot order
-    std::vector<int> consumers;    // dense indices, deduplicated
-  };
-
-  // ---- Dynamic schedule (tagged-token graphs) ----
-
-  // A delivery target: input slot `input_slot` (or -1 for a control edge) of
-  // the node at dense index `consumer`.
-  struct DynEdge {
+  // A delivery target: input slot `input_slot` of the node at dense index
+  // `consumer`, or -1 for a control edge.
+  struct OutEdge {
     int consumer = 0;
     int input_slot = -1;
   };
 
-  struct DynNode {
+  // A [begin, end) range into one of the plan's flat edge vectors.
+  struct Span {
+    int begin = 0;
+    int end = 0;
+  };
+
+  // Loop-frame attributes of an Enter node, resolved at build time.
+  struct EnterFrame {
+    std::string name;
+    bool is_constant = false;
+  };
+
+  // One scheduled node. Both strategies run the same node array; the edge
+  // spans index the plan's flat edge vectors (see inputs() and friends).
+  struct PlanNode {
     const Node* node = nullptr;
     OpKind kind = OpKind::kKernel;
-    const KernelFn* kernel = nullptr;  // resolved iff kind == kKernel
+    const KernelFn* kernel = nullptr;        // resolved iff kind == kKernel
     const FusedRegionPlan* fused = nullptr;  // valid iff kind == kFusedRegion
-    // Producer coordinate of each input slot, and the dense index of each
-    // control-input producer.
-    std::vector<DagInput> inputs;
-    std::vector<int> control_producers;
-    // Consumers per output slot, and control-edge consumers (fired off
-    // output 0, as in the seed executor).
-    std::vector<std::vector<DynEdge>> out_edges;
-    std::vector<DynEdge> control_edges;
-    // Enter attributes, resolved at build time.
-    std::string frame;
-    bool is_constant_enter = false;
-    // True for nodes evaluated once per run before token flow starts:
-    // sources, plus input-less stateful nodes with no control inputs.
+    Tensor const_value;                      // valid iff kind == kConst
+    // In-edges (data inputs plus control producers): the DAG executor's
+    // dependency countdown starts here.
+    int initial_pending = 0;
+    // True for the nodes the dynamic executor evaluates once per run before
+    // token flow starts: sources, plus kernels with no in-edges.
     bool is_root_source = false;
+    int enter_frame = -1;  // index into enter_frames() iff kind == kEnter
+    Span inputs;           // data inputs, in slot order
+    Span controls;         // control producers
+    // Out-edges sorted by (consumer, input_slot): one per in-edge of each
+    // consumer, so a consumer fed twice by this node appears twice.
+    Span out;
   };
 
   // Builds a plan from scratch, bypassing the cache (exposed for the
@@ -131,26 +134,37 @@ class ExecutionPlan {
   std::span<const NodeOutput> fetches() const { return fetches_; }
   std::uint64_t graph_version() const { return graph_version_; }
 
-  // DAG accessors.
-  const std::vector<DagNode>& dag_nodes() const { return dag_nodes_; }
-  const std::vector<DagInput>& dag_fetch_slots() const {
-    return dag_fetch_slots_;
+  // The dense node array: the fetch-pruned topological order for DAG plans,
+  // the whole graph in graph order for dynamic plans.
+  const std::vector<PlanNode>& nodes() const { return nodes_; }
+  std::span<const Input> inputs(const PlanNode& n) const {
+    return Slice(input_edges_, n.inputs);
   }
-  // Dense index of a node, or -1 if the node is not part of the plan. Only
-  // needed by the precomputed-outputs path of the eager tape.
-  int DagIndexOf(const Node* node) const;
-
-  // The full node -> dense-index map (fused-region interiors resolve to
-  // their region's index). Exposed for the plan verifier's bijectivity and
-  // coverage checks (src/verify); executors use DagIndexOf.
-  const std::unordered_map<const Node*, int>& dag_index_map() const {
-    return dag_index_;
+  std::span<const int> controls(const PlanNode& n) const {
+    return Slice(control_edges_, n.controls);
   }
+  std::span<const OutEdge> out_edges(const PlanNode& n) const {
+    return Slice(out_edges_, n.out);
+  }
+  const EnterFrame& enter_frame(const PlanNode& n) const {
+    return enter_frames_[static_cast<std::size_t>(n.enter_frame)];
+  }
+  // One slot per fetch, in fetch order.
+  const std::vector<Input>& fetch_slots() const { return fetch_slots_; }
 
-  // Dynamic accessors.
-  const std::vector<DynNode>& dyn_nodes() const { return dyn_nodes_; }
-  const std::vector<DagInput>& dyn_fetch_slots() const {
-    return dyn_fetch_slots_;
+  // Dense index of a node, or -1 if the node is not part of the plan. A
+  // fused region's members resolve to the region's index.
+  int IndexOf(const Node* node) const;
+
+  // The flat storage behind the spans and the node -> dense-index map,
+  // exposed for the plan verifier (src/verify), which range-checks every
+  // span before reading through it; executors use the accessors above.
+  const std::vector<Input>& input_edges() const { return input_edges_; }
+  const std::vector<int>& control_edges() const { return control_edges_; }
+  const std::vector<OutEdge>& all_out_edges() const { return out_edges_; }
+  const std::vector<EnterFrame>& enter_frames() const { return enter_frames_; }
+  const std::unordered_map<const Node*, int>& index_map() const {
+    return index_;
   }
 
   // Liveness + in-place analysis, computed once at plan-build time.
@@ -172,22 +186,36 @@ class ExecutionPlan {
   // The seeded-corruption harness (src/verify/corruption.h) mutates plan
   // internals to prove the verifier catches each class of damage.
   friend class verify::PlanCorruptor;
+  // The fusion rewrite (runtime/fusion.h) compacts the node array and
+  // relinks it.
+  friend int FusePlan(ExecutionPlan& plan);
 
   ExecutionPlan() = default;
 
-  void BuildDag(const Graph& graph);
-  void BuildDynamic(const Graph& graph);
+  template <typename T>
+  static std::span<const T> Slice(const std::vector<T>& edges, Span span) {
+    return {edges.data() + span.begin,
+            static_cast<std::size_t>(span.end - span.begin)};
+  }
+
+  // Fills nodes_, their input and control spans, index_ and fetch_slots_
+  // from `order` (the nodes to schedule, in dense order), then links.
+  void Populate(const std::vector<const Node*>& order);
+  // Derives every node's out-edge span, initial_pending and
+  // is_root_source from the input and control spans.
+  void Link();
 
   Strategy strategy_ = Strategy::kDag;
   std::vector<NodeOutput> fetches_;
   std::uint64_t graph_version_ = 0;
 
-  std::vector<DagNode> dag_nodes_;
-  std::vector<DagInput> dag_fetch_slots_;
-  std::unordered_map<const Node*, int> dag_index_;
-
-  std::vector<DynNode> dyn_nodes_;
-  std::vector<DagInput> dyn_fetch_slots_;
+  std::vector<PlanNode> nodes_;
+  std::vector<Input> input_edges_;
+  std::vector<int> control_edges_;
+  std::vector<OutEdge> out_edges_;
+  std::vector<EnterFrame> enter_frames_;
+  std::vector<Input> fetch_slots_;
+  std::unordered_map<const Node*, int> index_;
 
   std::vector<std::shared_ptr<const FusedRegionPlan>> fused_regions_;
 

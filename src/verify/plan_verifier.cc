@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,11 +19,10 @@ namespace janus {
 namespace verify {
 namespace {
 
-using DagInput = ExecutionPlan::DagInput;
-using DagNode = ExecutionPlan::DagNode;
-using DynEdge = ExecutionPlan::DynEdge;
-using DynNode = ExecutionPlan::DynNode;
+using Input = ExecutionPlan::Input;
 using OpKind = ExecutionPlan::OpKind;
+using OutEdge = ExecutionPlan::OutEdge;
+using PlanNode = ExecutionPlan::PlanNode;
 
 // Mirror of plan.cc's ClassifyOp — deliberately re-derived here so a
 // classification bug in the builder cannot hide from the checker.
@@ -94,7 +94,7 @@ int PlanNodeOutputs(OpKind kind, const Node* node) {
   return std::max(1, node != nullptr ? node->num_outputs() : 1);
 }
 
-// ---- Fused-region checks, shared by the DAG and dynamic strategies ----
+// ---- Fused-region checks ----
 //
 // `in_plan` answers whether a graph node participates in the plan at all
 // (for the DAG strategy only fetch-reachable nodes do; the dynamic strategy
@@ -229,18 +229,37 @@ RegionIndex BuildRegionIndex(const ExecutionPlan& plan) {
   return index;
 }
 
-// ---- DAG strategy ----
+// The elements of `edges` a node's span covers, or an empty span (after
+// recording adjacency.span_range) when the span does not fit the vector:
+// nothing downstream may read through a corrupt span.
+template <typename T>
+std::span<const T> CheckedSpan(Checker& check, const std::vector<T>& edges,
+                               ExecutionPlan::Span span, const char* what,
+                               const Node* node) {
+  const bool ok = span.begin >= 0 && span.begin <= span.end &&
+                  span.end <= static_cast<int>(edges.size());
+  check.Check(ok, "adjacency.span_range", node,
+              std::string(what) + " span [" + std::to_string(span.begin) +
+                  ", " + std::to_string(span.end) + ") outside [0, " +
+                  std::to_string(edges.size()) + ")");
+  if (!ok) return {};
+  return {edges.data() + span.begin,
+          static_cast<std::size_t>(span.end - span.begin)};
+}
 
-void VerifyDag(Checker& check, const Graph& graph,
-               const ExecutionPlan& plan) {
-  const auto& nodes = plan.dag_nodes();
+// One pass over the node array. Only topological order is strategy-specific
+// (dynamic plans hold loop back-edges).
+void VerifyNodes(Checker& check, const Graph& graph,
+                 const ExecutionPlan& plan) {
+  const auto& nodes = plan.nodes();
   const int n = static_cast<int>(nodes.size());
+  const bool is_dag = plan.strategy() == ExecutionPlan::Strategy::kDag;
   const RegionIndex region_index = BuildRegionIndex(plan);
 
   // Which graph nodes participate in the plan: dense entries plus fused
   // interiors (whose dense slot is their region's).
   std::unordered_set<const Node*> in_plan;
-  for (const DagNode& entry : nodes) {
+  for (const PlanNode& entry : nodes) {
     if (entry.node != nullptr) in_plan.insert(entry.node);
   }
   for (const auto& [member, region] : region_index.region_of) {
@@ -251,27 +270,25 @@ void VerifyDag(Checker& check, const Graph& graph,
   // round-trips every one of them.
   std::unordered_set<const Node*> seen;
   for (int i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[static_cast<std::size_t>(i)];
+    const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
     check.Check(entry.node != nullptr, "schedule.null_node", nullptr,
                 "dense slot " + std::to_string(i) + " has no graph node");
     if (entry.node == nullptr) continue;
     check.Check(seen.insert(entry.node).second, "schedule.duplicate_node",
                 entry.node,
                 "graph node occupies more than one dense slot");
-    check.Check(plan.DagIndexOf(entry.node) == i, "index.roundtrip",
-                entry.node,
-                "DagIndexOf returns " +
-                    std::to_string(plan.DagIndexOf(entry.node)) +
+    check.Check(plan.IndexOf(entry.node) == i, "index.roundtrip", entry.node,
+                "IndexOf returns " + std::to_string(plan.IndexOf(entry.node)) +
                     " for dense slot " + std::to_string(i));
   }
   // Index-map coverage: every entry lands inside the dense array, and
   // fused interiors resolve to their region's slot.
-  for (const auto& [node, dense] : plan.dag_index_map()) {
+  for (const auto& [node, dense] : plan.index_map()) {
     check.Check(dense >= 0 && dense < n, "index.range", node,
                 "index-map entry " + std::to_string(dense) +
                     " outside [0, " + std::to_string(n) + ")");
     if (dense < 0 || dense >= n || node == nullptr) continue;
-    const DagNode& target = nodes[static_cast<std::size_t>(dense)];
+    const PlanNode& target = nodes[static_cast<std::size_t>(dense)];
     if (target.node == node) continue;
     const auto it = region_index.region_of.find(node);
     const bool interior_remap = it != region_index.region_of.end() &&
@@ -283,13 +300,24 @@ void VerifyDag(Checker& check, const Graph& graph,
                     "fused region");
   }
 
-  // Schedule + adjacency. Expected consumer sets are rebuilt from the
-  // plan's own input lists plus the graph's control edges, then compared
-  // against the stored adjacency exactly.
-  std::vector<std::set<int>> expected_consumers(
-      static_cast<std::size_t>(n));
+  // Every span must fit its flat vector before anything reads through it.
+  std::vector<std::span<const Input>> inputs(static_cast<std::size_t>(n));
+  std::vector<std::span<const int>> controls(static_cast<std::size_t>(n));
+  std::vector<std::span<const OutEdge>> outs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[static_cast<std::size_t>(i)];
+    const auto u = static_cast<std::size_t>(i);
+    const PlanNode& entry = nodes[u];
+    inputs[u] = CheckedSpan(check, plan.input_edges(), entry.inputs, "input",
+                            entry.node);
+    controls[u] = CheckedSpan(check, plan.control_edges(), entry.controls,
+                              "control", entry.node);
+    outs[u] = CheckedSpan(check, plan.all_out_edges(), entry.out, "out-edge",
+                          entry.node);
+  }
+
+  for (int i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    const PlanNode& entry = nodes[u];
     if (entry.node == nullptr) continue;
 
     const OpKind expected_kind =
@@ -304,6 +332,26 @@ void VerifyDag(Checker& check, const Graph& graph,
       check.Check(entry.kernel != nullptr, "schedule.kernel_null",
                   entry.node, "kernel op with no resolved KernelFn");
     }
+    if (entry.kind == OpKind::kConst && expected_kind == OpKind::kConst) {
+      check.Check(entry.node->HasAttr("value") &&
+                      entry.const_value.SharesBufferWith(
+                          entry.node->GetTensorAttr("value")),
+                  "schedule.const_value", entry.node,
+                  "const_value is not the node's value attribute: both "
+                  "executors would emit the wrong constant");
+    }
+    if (entry.kind == OpKind::kEnter) {
+      const bool indexed =
+          entry.enter_frame >= 0 &&
+          entry.enter_frame < static_cast<int>(plan.enter_frames().size());
+      check.Check(indexed && !plan.enter_frame(entry).name.empty(),
+                  "schedule.enter_frame", entry.node,
+                  indexed ? "Enter node with an empty frame name: its tokens "
+                            "would collide with the root frame"
+                          : "Enter node's frame index " +
+                                std::to_string(entry.enter_frame) +
+                                " is outside the frame table");
+    }
     if (entry.kind == OpKind::kFusedRegion) {
       check.Check(entry.fused != nullptr, "fusion.null_plan", entry.node,
                   "kFusedRegion plan node with no region plan");
@@ -316,28 +364,64 @@ void VerifyDag(Checker& check, const Graph& graph,
                     "fused-region root op '" + entry.node->op() +
                         "' is not a kernel op");
         CheckRegion(check, graph, plan, *entry.fused, entry.node,
-                    static_cast<int>(entry.inputs.size()), region_index,
+                    static_cast<int>(inputs[u].size()), region_index,
                     in_plan);
       }
     }
 
-    std::set<int> producers;
-    for (std::size_t s = 0; s < entry.inputs.size(); ++s) {
-      const DagInput& input = entry.inputs[s];
-      const bool in_range = input.producer >= 0 && input.producer < n;
+    // is_root_source: sources plus input-less kernels, nothing else.
+    const bool expected_root =
+        IsSourceKind(entry.kind) ||
+        (entry.kind == OpKind::kKernel && inputs[u].empty() &&
+         controls[u].empty());
+    check.Check(entry.is_root_source == expected_root,
+                "schedule.root_source", entry.node,
+                entry.is_root_source
+                    ? "marked root-source but has inputs or is not a "
+                      "source kind (would fire before its tokens exist)"
+                    : "source node not marked root-source (would never "
+                      "fire)");
+    check.Check(entry.initial_pending ==
+                    static_cast<int>(inputs[u].size() + controls[u].size()),
+                "schedule.pending_count", entry.node,
+                "initial_pending " + std::to_string(entry.initial_pending) +
+                    " != " +
+                    std::to_string(inputs[u].size() + controls[u].size()) +
+                    " in-edges");
+
+    // Producers: in range, not self, before the consumer in a DAG plan, and
+    // each in-edge mirrored by exactly one out-edge of its producer.
+    const auto check_producer = [&](int producer, const std::string& what) {
+      const bool in_range = producer >= 0 && producer < n;
       check.Check(in_range, "adjacency.producer_range", entry.node,
-                  "input " + std::to_string(s) + " producer " +
-                      Coord(input.producer, input.slot) +
+                  what + " producer " + std::to_string(producer) +
                       " outside [0, " + std::to_string(n) + ")");
-      if (!in_range) continue;
-      check.Check(input.producer != i, "schedule.self_loop", entry.node,
+      if (!in_range) return false;
+      check.Check(producer != i, "schedule.self_loop", entry.node,
                   "node consumes its own output");
-      check.Check(input.producer < i, "schedule.topological_order",
-                  entry.node,
-                  "producer at dense slot " +
-                      std::to_string(input.producer) +
-                      " does not precede consumer at " + std::to_string(i));
-      const DagNode& producer =
+      if (is_dag) {
+        check.Check(producer < i, "schedule.topological_order", entry.node,
+                    "producer at dense slot " + std::to_string(producer) +
+                        " does not precede consumer at " + std::to_string(i));
+      }
+      return true;
+    };
+    const auto mirrored = [&](int producer, int input_slot) {
+      return static_cast<int>(std::count_if(
+          outs[static_cast<std::size_t>(producer)].begin(),
+          outs[static_cast<std::size_t>(producer)].end(),
+          [&](const OutEdge& edge) {
+            return edge.consumer == i && edge.input_slot == input_slot;
+          }));
+    };
+    for (std::size_t s = 0; s < inputs[u].size(); ++s) {
+      const Input& input = inputs[u][s];
+      if (!check_producer(input.producer,
+                          "input " + std::to_string(s) + " " +
+                              Coord(input.producer, input.slot))) {
+        continue;
+      }
+      const PlanNode& producer =
           nodes[static_cast<std::size_t>(input.producer)];
       const int outputs = PlanNodeOutputs(producer.kind, producer.node);
       check.Check(input.slot >= 0 && input.slot < outputs,
@@ -345,54 +429,88 @@ void VerifyDag(Checker& check, const Graph& graph,
                   "input " + std::to_string(s) + " reads slot " +
                       std::to_string(input.slot) + " of a " +
                       std::to_string(outputs) + "-output producer");
-      producers.insert(input.producer);
+      const int hits = mirrored(input.producer, static_cast<int>(s));
+      check.Check(hits == 1, "adjacency.edge_mirror", entry.node,
+                  "input " + std::to_string(s) + " from " +
+                      Coord(input.producer, input.slot) + " has " +
+                      std::to_string(hits) +
+                      " out-edges (need exactly 1): it would be " +
+                      (hits == 0 ? "lost" : "delivered twice"));
     }
-    // Control producers come from the graph (the plan stores them only as
-    // pending-count contributions and consumer edges).
+    // Control producers must mirror the graph's control inputs, and each
+    // occurrence needs one control out-edge from its producer.
+    std::multiset<int> graph_controls;
     for (const Node* control : entry.node->control_inputs()) {
-      const int dense = plan.DagIndexOf(control);
+      const int dense = plan.IndexOf(control);
       check.Check(dense >= 0, "adjacency.dangling_control", entry.node,
                   "control input '" + control->name() +
                       "' is not in the plan");
-      if (dense >= 0 && dense < n) producers.insert(dense);
+      graph_controls.insert(dense);
     }
-    check.Check(entry.initial_pending ==
-                    static_cast<int>(producers.size()),
-                "schedule.pending_count", entry.node,
-                "initial_pending " + std::to_string(entry.initial_pending) +
-                    " != " + std::to_string(producers.size()) +
-                    " distinct producers");
-    for (const int producer : producers) {
-      if (producer >= 0 && producer < n) {
-        expected_consumers[static_cast<std::size_t>(producer)].insert(i);
-      }
+    check.Check(graph_controls == std::multiset<int>(controls[u].begin(),
+                                                     controls[u].end()),
+                "adjacency.control_mirror", entry.node,
+                "control producers (" + std::to_string(controls[u].size()) +
+                    ") do not mirror the graph's control inputs (" +
+                    std::to_string(graph_controls.size()) + ")");
+    for (const int control : controls[u]) {
+      if (!check_producer(control, "control")) continue;
+      const int hits = mirrored(control, -1);
+      const auto wanted = static_cast<int>(
+          std::count(controls[u].begin(), controls[u].end(), control));
+      check.Check(hits == wanted, "adjacency.control_mirror", entry.node,
+                  "control producer " + std::to_string(control) + " has " +
+                      std::to_string(hits) + " control out-edges (need " +
+                      std::to_string(wanted) + ")");
     }
   }
+
+  // Reverse direction: every out-edge lands on a consumer in-edge that
+  // points back here, and each span is sorted by (consumer, input_slot).
   for (int i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[static_cast<std::size_t>(i)];
-    std::set<int> actual;
-    for (const int consumer : entry.consumers) {
-      check.Check(consumer >= 0 && consumer < n,
-                  "adjacency.consumer_range", entry.node,
-                  "consumer index " + std::to_string(consumer) +
+    const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
+    const std::span<const OutEdge> out = outs[static_cast<std::size_t>(i)];
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const OutEdge& edge = out[k];
+      const bool consumer_ok = edge.consumer >= 0 && edge.consumer < n;
+      check.Check(consumer_ok, "adjacency.consumer_range", entry.node,
+                  "out-edge to " + Coord(edge.consumer, edge.input_slot) +
                       " outside [0, " + std::to_string(n) + ")");
-      check.Check(actual.insert(consumer).second,
-                  "adjacency.consumer_duplicate", entry.node,
-                  "consumer " + std::to_string(consumer) +
-                      " listed twice (pending counts would double-fire)");
+      if (!consumer_ok) continue;
+      if (k > 0) {
+        check.Check(std::make_pair(out[k - 1].consumer, out[k - 1].input_slot) <=
+                        std::make_pair(edge.consumer, edge.input_slot),
+                    "adjacency.edge_order", entry.node,
+                    "out-edge " + Coord(edge.consumer, edge.input_slot) +
+                        " is out of (consumer, input_slot) order");
+      }
+      const auto c = static_cast<std::size_t>(edge.consumer);
+      if (edge.input_slot < 0) {
+        check.Check(edge.input_slot == -1 &&
+                        std::count(controls[c].begin(), controls[c].end(),
+                                   i) >= 1,
+                    "adjacency.control_mirror", entry.node,
+                    "control out-edge " +
+                        Coord(edge.consumer, edge.input_slot) +
+                        " not mirrored by the consumer's control producers");
+        continue;
+      }
+      const bool slot_ok =
+          edge.input_slot < static_cast<int>(inputs[c].size());
+      check.Check(slot_ok &&
+                      inputs[c][static_cast<std::size_t>(edge.input_slot)]
+                              .producer == i,
+                  "adjacency.edge_mirror", entry.node,
+                  "out-edge " + Coord(edge.consumer, edge.input_slot) +
+                      " is not mirrored by the consumer's input " +
+                      (slot_ok ? "slot" : "count (" +
+                                              std::to_string(inputs[c].size()) +
+                                              ")"));
     }
-    check.Check(actual == expected_consumers[static_cast<std::size_t>(i)],
-                "adjacency.consumer_mirror", entry.node,
-                "stored consumer set (" + std::to_string(actual.size()) +
-                    ") does not mirror the input/control edges (" +
-                    std::to_string(
-                        expected_consumers[static_cast<std::size_t>(i)]
-                            .size()) +
-                    ")");
   }
 
   // Fetch slots: one per fetch, remapped to the producer's dense slot.
-  const auto& fetch_slots = plan.dag_fetch_slots();
+  const auto& fetch_slots = plan.fetch_slots();
   check.Check(fetch_slots.size() == plan.fetches().size(),
               "fetch.slot_count", nullptr,
               std::to_string(fetch_slots.size()) + " fetch slots for " +
@@ -400,7 +518,7 @@ void VerifyDag(Checker& check, const Graph& graph,
   const std::size_t num_fetches =
       std::min(fetch_slots.size(), plan.fetches().size());
   for (std::size_t k = 0; k < num_fetches; ++k) {
-    const DagInput& slot = fetch_slots[k];
+    const Input& slot = fetch_slots[k];
     const NodeOutput& fetch = plan.fetches()[k];
     const bool in_range = slot.producer >= 0 && slot.producer < n;
     check.Check(in_range, "fetch.slot_range", fetch.node,
@@ -408,7 +526,7 @@ void VerifyDag(Checker& check, const Graph& graph,
                     Coord(slot.producer, slot.slot) + " outside [0, " +
                     std::to_string(n) + ")");
     if (!in_range) continue;
-    const DagNode& producer = nodes[static_cast<std::size_t>(slot.producer)];
+    const PlanNode& producer = nodes[static_cast<std::size_t>(slot.producer)];
     const int outputs = PlanNodeOutputs(producer.kind, producer.node);
     check.Check(slot.slot >= 0 && slot.slot < outputs, "fetch.slot_range",
                 fetch.node,
@@ -425,302 +543,63 @@ void VerifyDag(Checker& check, const Graph& graph,
   // Memory plan: recompute liveness/in-place independently and require
   // equality. An undercount releases a live buffer; an overcount leaks.
   const MemoryPlan& memory = plan.memory();
-  check.Check(memory.dag.size() == nodes.size(), "memory.parallel_size",
+  check.Check(memory.nodes.size() == nodes.size(), "memory.parallel_size",
               nullptr,
-              "memory plan covers " + std::to_string(memory.dag.size()) +
-                  " of " + std::to_string(nodes.size()) + " dag nodes");
-  if (memory.dag.size() == nodes.size()) {
-    std::vector<int> reads(static_cast<std::size_t>(n), 0);
-    for (const DagNode& entry : nodes) {
-      for (const DagInput& input : entry.inputs) {
-        if (input.producer >= 0 && input.producer < n) {
-          ++reads[static_cast<std::size_t>(input.producer)];
-        }
+              "memory plan covers " + std::to_string(memory.nodes.size()) +
+                  " of " + std::to_string(nodes.size()) + " plan nodes");
+  if (memory.nodes.size() != nodes.size()) return;
+  std::vector<int> reads(static_cast<std::size_t>(n), 0);
+  for (const std::span<const Input>& node_inputs : inputs) {
+    for (const Input& input : node_inputs) {
+      if (input.producer >= 0 && input.producer < n) {
+        ++reads[static_cast<std::size_t>(input.producer)];
       }
     }
-    std::vector<bool> fetch_protected(static_cast<std::size_t>(n), false);
-    for (const DagInput& slot : fetch_slots) {
-      if (slot.producer >= 0 && slot.producer < n) {
-        fetch_protected[static_cast<std::size_t>(slot.producer)] = true;
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      const DagNode& entry = nodes[static_cast<std::size_t>(i)];
-      const MemoryPlan::DagNodeInfo& info =
-          memory.dag[static_cast<std::size_t>(i)];
-      check.Check(info.output_reads >=
-                      reads[static_cast<std::size_t>(i)],
-                  "liveness.undercount", entry.node,
-                  "output_reads " + std::to_string(info.output_reads) +
-                      " < " + std::to_string(reads[static_cast<std::size_t>(
-                                  i)]) +
-                      " actual data reads: the countdown would release a "
-                      "buffer with a live consumer");
-      check.Check(info.output_reads <=
-                      reads[static_cast<std::size_t>(i)],
-                  "liveness.overcount", entry.node,
-                  "output_reads " + std::to_string(info.output_reads) +
-                      " > " + std::to_string(reads[static_cast<std::size_t>(
-                                  i)]) +
-                      " actual data reads: the buffer would never be "
-                      "released mid-run");
-      check.Check(!fetch_protected[static_cast<std::size_t>(i)] ||
-                      info.fetch_protected,
-                  "liveness.fetch_unprotected", entry.node,
-                  "fetch producer is not marked fetch_protected; its "
-                  "output could be dropped before the run ends");
-      check.Check(fetch_protected[static_cast<std::size_t>(i)] ||
-                      !info.fetch_protected,
-                  "liveness.spurious_protection", entry.node,
-                  "non-fetch node marked fetch_protected; its buffer "
-                  "would be retained for the whole run");
-      const bool expected_in_place =
-          (entry.kind == OpKind::kKernel && entry.node != nullptr &&
-           OpSupportsInPlace(entry.node->op())) ||
-          (entry.kind == OpKind::kFusedRegion && entry.fused != nullptr &&
-           !entry.fused->has_reduction);
-      check.Check(!info.in_place_capable || expected_in_place,
-                  "inplace.illegal", entry.node,
-                  "in_place_capable set on an op outside the same-index "
-                  "elementwise allowlist: overwriting its input while "
-                  "reading it would corrupt the computation");
-      check.Check(info.in_place_capable || !expected_in_place,
-                  "inplace.dropped", entry.node,
-                  "allowlisted op lost its in_place_capable bit (memory "
-                  "plan built against a stale schedule?)");
+  }
+  std::vector<bool> fetch_protected(static_cast<std::size_t>(n), false);
+  for (const Input& slot : fetch_slots) {
+    if (slot.producer >= 0 && slot.producer < n) {
+      fetch_protected[static_cast<std::size_t>(slot.producer)] = true;
     }
   }
-}
-
-// ---- Dynamic (tagged-token) strategy ----
-
-void VerifyDyn(Checker& check, const Graph& graph,
-               const ExecutionPlan& plan) {
-  const auto& nodes = plan.dyn_nodes();
-  const int n = static_cast<int>(nodes.size());
-  const RegionIndex region_index = BuildRegionIndex(plan);
-
-  // The dynamic strategy covers the whole graph.
-  std::unordered_set<const Node*> in_plan;
-  for (const DynNode& entry : nodes) {
-    if (entry.node != nullptr) in_plan.insert(entry.node);
-  }
-  for (const auto& [member, region] : region_index.region_of) {
-    in_plan.insert(member);
-  }
-  std::unordered_map<const Node*, int> dense_of;
-
-  std::unordered_set<const Node*> seen;
   for (int i = 0; i < n; ++i) {
-    const DynNode& entry = nodes[static_cast<std::size_t>(i)];
-    check.Check(entry.node != nullptr, "schedule.null_node", nullptr,
-                "dense slot " + std::to_string(i) + " has no graph node");
-    if (entry.node == nullptr) continue;
-    check.Check(seen.insert(entry.node).second, "schedule.duplicate_node",
+    const auto u = static_cast<std::size_t>(i);
+    const PlanNode& entry = nodes[u];
+    const MemoryPlan::NodeInfo& info = memory.nodes[u];
+    check.Check(info.output_reads >= reads[u], "liveness.undercount",
                 entry.node,
-                "graph node occupies more than one dense slot");
-    dense_of[entry.node] = i;
-  }
-
-  for (int i = 0; i < n; ++i) {
-    const DynNode& entry = nodes[static_cast<std::size_t>(i)];
-    if (entry.node == nullptr) continue;
-
-    const OpKind expected_kind =
-        entry.kind == OpKind::kFusedRegion ? OpKind::kFusedRegion
-                                           : ClassifyOp(entry.node->op());
-    check.Check(entry.kind == expected_kind, "schedule.kind_mismatch",
+                "output_reads " + std::to_string(info.output_reads) + " < " +
+                    std::to_string(reads[u]) +
+                    " actual data reads: the countdown would release a "
+                    "buffer with a live consumer");
+    check.Check(info.output_reads <= reads[u], "liveness.overcount",
                 entry.node,
-                std::string("plan kind ") + KindName(entry.kind) +
-                    " but op '" + entry.node->op() + "' classifies as " +
-                    KindName(expected_kind));
-    if (entry.kind == OpKind::kKernel) {
-      check.Check(entry.kernel != nullptr, "schedule.kernel_null",
-                  entry.node, "kernel op with no resolved KernelFn");
-    }
-    if (entry.kind == OpKind::kEnter) {
-      check.Check(!entry.frame.empty(), "schedule.enter_frame", entry.node,
-                  "Enter node with an empty frame name: its tokens would "
-                  "collide with the root frame");
-    }
-    if (entry.kind == OpKind::kFusedRegion) {
-      check.Check(entry.fused != nullptr, "fusion.null_plan", entry.node,
-                  "kFusedRegion plan node with no region plan");
-      if (entry.fused != nullptr) {
-        check.Check(RegionOwnedByPlan(plan, entry.fused),
-                    "fusion.foreign_region", entry.node,
-                    "region plan is not owned by this ExecutionPlan");
-        CheckRegion(check, graph, plan, *entry.fused, entry.node,
-                    static_cast<int>(entry.inputs.size()), region_index,
-                    in_plan);
-      }
-    }
-
-    // is_root_source: sources plus input-less kernels, nothing else.
-    const bool expected_root =
-        IsSourceKind(entry.kind) ||
-        (entry.kind == OpKind::kKernel && entry.inputs.empty() &&
-         entry.control_producers.empty());
-    check.Check(entry.is_root_source == expected_root,
-                "schedule.root_source", entry.node,
-                entry.is_root_source
-                    ? "marked root-source but has inputs or is not a "
-                      "source kind (would fire before its tokens exist)"
-                    : "source node not marked root-source (would never "
-                      "fire)");
-
-    // Data-edge mirror: inputs[s] = {p, oslot}  <=>  {i, s} appears
-    // exactly once in nodes[p].out_edges[oslot].
-    for (std::size_t s = 0; s < entry.inputs.size(); ++s) {
-      const DagInput& input = entry.inputs[s];
-      const bool in_range = input.producer >= 0 && input.producer < n;
-      check.Check(in_range, "adjacency.producer_range", entry.node,
-                  "input " + std::to_string(s) + " producer " +
-                      Coord(input.producer, input.slot) +
-                      " outside [0, " + std::to_string(n) + ")");
-      if (!in_range) continue;
-      const DynNode& producer =
-          nodes[static_cast<std::size_t>(input.producer)];
-      const bool slot_ok =
-          input.slot >= 0 &&
-          input.slot < static_cast<int>(producer.out_edges.size());
-      check.Check(slot_ok, "adjacency.slot_range", entry.node,
-                  "input " + std::to_string(s) + " reads slot " +
-                      std::to_string(input.slot) + " of a producer with " +
-                      std::to_string(producer.out_edges.size()) +
-                      " output slots");
-      if (!slot_ok) continue;
-      int hits = 0;
-      for (const DynEdge& edge :
-           producer.out_edges[static_cast<std::size_t>(input.slot)]) {
-        if (edge.consumer == i &&
-            edge.input_slot == static_cast<int>(s)) {
-          ++hits;
-        }
-      }
-      check.Check(hits == 1, "adjacency.edge_mirror", entry.node,
-                  "input " + std::to_string(s) + " from " +
-                      Coord(input.producer, input.slot) + " has " +
-                      std::to_string(hits) +
-                      " delivery edges (need exactly 1): tokens would be " +
-                      (hits == 0 ? "lost" : "duplicated"));
-    }
-    // Reverse direction: every outgoing edge lands on a consumer input
-    // slot that points back here.
-    for (std::size_t oslot = 0; oslot < entry.out_edges.size(); ++oslot) {
-      for (const DynEdge& edge : entry.out_edges[oslot]) {
-        const bool consumer_ok = edge.consumer >= 0 && edge.consumer < n;
-        check.Check(consumer_ok, "adjacency.consumer_range", entry.node,
-                    "out edge to " +
-                        Coord(edge.consumer, edge.input_slot) +
-                        " outside [0, " + std::to_string(n) + ")");
-        if (!consumer_ok) continue;
-        const DynNode& consumer =
-            nodes[static_cast<std::size_t>(edge.consumer)];
-        const bool slot_ok =
-            edge.input_slot >= 0 &&
-            edge.input_slot < static_cast<int>(consumer.inputs.size());
-        check.Check(slot_ok, "adjacency.edge_mirror", entry.node,
-                    "out edge targets input slot " +
-                        std::to_string(edge.input_slot) +
-                        " of a consumer with " +
-                        std::to_string(consumer.inputs.size()) + " inputs");
-        if (!slot_ok) continue;
-        const DagInput& back =
-            consumer.inputs[static_cast<std::size_t>(edge.input_slot)];
-        check.Check(back.producer == i &&
-                        back.slot == static_cast<int>(oslot),
-                    "adjacency.edge_mirror", entry.node,
-                    "out edge " + Coord(edge.consumer, edge.input_slot) +
-                        " is not mirrored by the consumer's input (" +
-                        Coord(back.producer, back.slot) + ")");
-      }
-    }
-    // Control mirror.
-    for (const int producer : entry.control_producers) {
-      const bool in_range = producer >= 0 && producer < n;
-      check.Check(in_range, "adjacency.producer_range", entry.node,
-                  "control producer " + std::to_string(producer) +
-                      " outside [0, " + std::to_string(n) + ")");
-      if (!in_range) continue;
-      int hits = 0;
-      for (const DynEdge& edge :
-           nodes[static_cast<std::size_t>(producer)].control_edges) {
-        if (edge.consumer == i && edge.input_slot == -1) ++hits;
-      }
-      check.Check(hits == 1, "adjacency.control_mirror", entry.node,
-                  "control edge from slot " + std::to_string(producer) +
-                      " has " + std::to_string(hits) +
-                      " delivery edges (need exactly 1)");
-    }
-    for (const DynEdge& edge : entry.control_edges) {
-      const bool consumer_ok = edge.consumer >= 0 && edge.consumer < n;
-      check.Check(consumer_ok && edge.input_slot == -1,
-                  "adjacency.control_mirror", entry.node,
-                  "control edge to " +
-                      Coord(edge.consumer, edge.input_slot) +
-                      " is malformed");
-      if (!consumer_ok) continue;
-      const auto& back =
-          nodes[static_cast<std::size_t>(edge.consumer)].control_producers;
-      check.Check(std::count(back.begin(), back.end(), i) >= 1,
-                  "adjacency.control_mirror", entry.node,
-                  "control edge not mirrored in the consumer's "
-                  "control_producers");
-    }
-  }
-
-  // Fetch slots.
-  const auto& fetch_slots = plan.dyn_fetch_slots();
-  check.Check(fetch_slots.size() == plan.fetches().size(),
-              "fetch.slot_count", nullptr,
-              std::to_string(fetch_slots.size()) + " fetch slots for " +
-                  std::to_string(plan.fetches().size()) + " fetches");
-  const std::size_t num_fetches =
-      std::min(fetch_slots.size(), plan.fetches().size());
-  for (std::size_t k = 0; k < num_fetches; ++k) {
-    const DagInput& slot = fetch_slots[k];
-    const NodeOutput& fetch = plan.fetches()[k];
-    const bool in_range = slot.producer >= 0 && slot.producer < n;
-    check.Check(in_range, "fetch.slot_range", fetch.node,
-                "fetch " + std::to_string(k) + " slot " +
-                    Coord(slot.producer, slot.slot) + " outside [0, " +
-                    std::to_string(n) + ")");
-    if (!in_range) continue;
-    const DynNode& producer = nodes[static_cast<std::size_t>(slot.producer)];
-    check.Check(producer.node == fetch.node && slot.slot == fetch.index,
-                "fetch.remap", fetch.node,
-                "fetch " + std::to_string(k) + " remapped to " +
-                    Coord(slot.producer, slot.slot) +
-                    " which is not its producer's dense slot");
-  }
-
-  // Memory plan (in-place bits only; the dynamic executor gets liveness
-  // from token lifetimes).
-  const MemoryPlan& memory = plan.memory();
-  check.Check(memory.dyn_in_place.size() == nodes.size(),
-              "memory.parallel_size", nullptr,
-              "memory plan covers " +
-                  std::to_string(memory.dyn_in_place.size()) + " of " +
-                  std::to_string(nodes.size()) + " dyn nodes");
-  if (memory.dyn_in_place.size() == nodes.size()) {
-    for (int i = 0; i < n; ++i) {
-      const DynNode& entry = nodes[static_cast<std::size_t>(i)];
-      if (entry.node == nullptr) continue;
-      const bool expected_in_place =
-          (entry.kind == OpKind::kKernel &&
-           OpSupportsInPlace(entry.node->op())) ||
-          (entry.kind == OpKind::kFusedRegion && entry.fused != nullptr &&
-           !entry.fused->has_reduction);
-      const bool actual =
-          memory.dyn_in_place[static_cast<std::size_t>(i)] != 0;
-      check.Check(!actual || expected_in_place, "inplace.illegal",
-                  entry.node,
-                  "in_place bit set on an op outside the same-index "
-                  "elementwise allowlist");
-      check.Check(actual || !expected_in_place, "inplace.dropped",
-                  entry.node, "allowlisted op lost its in_place bit");
-    }
+                "output_reads " + std::to_string(info.output_reads) + " > " +
+                    std::to_string(reads[u]) +
+                    " actual data reads: the buffer would never be "
+                    "released mid-run");
+    check.Check(!fetch_protected[u] || info.fetch_protected,
+                "liveness.fetch_unprotected", entry.node,
+                "fetch producer is not marked fetch_protected; its "
+                "output could be dropped (DAG) or never fetched (dynamic)");
+    check.Check(fetch_protected[u] || !info.fetch_protected,
+                "liveness.spurious_protection", entry.node,
+                "non-fetch node marked fetch_protected; its buffer "
+                "would be retained for the whole run");
+    const bool expected_in_place =
+        (entry.kind == OpKind::kKernel && entry.node != nullptr &&
+         OpSupportsInPlace(entry.node->op())) ||
+        (entry.kind == OpKind::kFusedRegion && entry.fused != nullptr &&
+         !entry.fused->has_reduction);
+    check.Check(!info.in_place_capable || expected_in_place,
+                "inplace.illegal", entry.node,
+                "in_place_capable set on an op outside the same-index "
+                "elementwise allowlist: overwriting its input while "
+                "reading it would corrupt the computation");
+    check.Check(info.in_place_capable || !expected_in_place,
+                "inplace.dropped", entry.node,
+                "allowlisted op lost its in_place_capable bit (memory "
+                "plan built against a stale schedule?)");
   }
 }
 
@@ -767,11 +646,7 @@ std::string Report::ToString() const {
 Report VerifyPlan(const Graph& graph, const ExecutionPlan& plan) {
   Report report;
   Checker check(&report);
-  if (plan.strategy() == ExecutionPlan::Strategy::kDag) {
-    VerifyDag(check, graph, plan);
-  } else {
-    VerifyDyn(check, graph, plan);
-  }
+  VerifyNodes(check, graph, plan);
   return report;
 }
 

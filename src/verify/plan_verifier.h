@@ -22,8 +22,8 @@
 //    asserts each seeded corruption is diagnosed.
 //
 // The invariant catalog (DESIGN.md §12):
-//   schedule.*  — dense order, pending counts, kinds, kernels
-//   adjacency.* — producer/consumer/slot mirrors, index ranges
+//   schedule.*  — dense order, pending counts, kinds, kernels, constants
+//   adjacency.* — edge-span ranges, in-edge/out-edge mirrors, index ranges
 //   index.*     — node -> dense-index map bijectivity and coverage
 //   fetch.*     — fetch slot ranges and fetch -> slot remaps
 //   liveness.*  — output_reads soundness, fetch protection

@@ -11,6 +11,12 @@
 #include "tensor/tensor.h"
 
 namespace janus {
+
+// Prints a Shape by its dims. Without it gtest prints a Shape's raw bytes,
+// heap pointers included, so failure messages are unreadable and the names
+// of the Shape-parameterized tests below change on every run.
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.ToString(); }
+
 namespace {
 
 using ::testing::Test;

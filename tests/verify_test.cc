@@ -30,13 +30,16 @@ struct Built {
   std::shared_ptr<const ExecutionPlan> plan;
 };
 
-// Diamond DAG without fusable chains: x -> {Square, Transpose} -> MatMul.
-// Built with fusion off so the corruption tests see plain kernel nodes.
+// Diamond DAG without fusable chains: x -> {Square, Transpose} -> MatMul,
+// plus a control edge Square -> Transpose so the control-edge corruptions
+// apply. Built with fusion off so the corruption tests see plain kernel
+// nodes.
 Built BuildPlainDag() {
   Built b;
   const NodeOutput x = b.g.Placeholder("x", DType::kFloat32);
   Node* sq = b.g.AddNode("Square", {x});
   Node* tr = b.g.AddNode("Transpose", {x});
+  tr->AddControlInput(sq);
   Node* mm = b.g.AddNode("MatMul", {{sq, 0}, {tr, 0}});
   b.fetches = {{mm, 0}};
   b.plan = ExecutionPlan::Build(b.g, b.fetches,
@@ -79,6 +82,32 @@ Built BuildDynLoop() {
   Node* exit = b.g.AddNode("Exit", {{sw, 0}});
   b.fetches = {{exit, 0}};
   b.plan = ExecutionPlan::Build(b.g, b.fetches);
+  return b;
+}
+
+// i = 0; while (i < n) i = (i + 1) + 1 — the two-Add body fuses into one
+// region of the tagged-token plan (fusion_test.cc's
+// DynamicPlanFusesLoopBodyChain).
+Built BuildFusedDynLoop() {
+  Built b;
+  const NodeOutput zero = b.g.Constant(Tensor::ScalarInt(0));
+  const NodeOutput n = b.g.Placeholder("n", DType::kInt64);
+  Node* enter_i =
+      b.g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
+  Node* enter_n = b.g.AddNode(
+      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
+  Node* merge = b.g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
+  Node* less = b.g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
+  Node* sw = b.g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
+  Node* one = b.g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
+  Node* inc1 = b.g.AddNode("Add", {{sw, 1}, {one, 0}});
+  Node* inc2 = b.g.AddNode("Add", {{inc1, 0}, {one, 0}});
+  Node* next = b.g.AddNode("NextIteration", {{inc2, 0}});
+  merge->set_input(1, {next, 0});
+  Node* exit = b.g.AddNode("Exit", {{sw, 0}});
+  b.fetches = {{exit, 0}};
+  b.plan = ExecutionPlan::Build(b.g, b.fetches,
+                                PlanOptions{.enable_fusion = true});
   return b;
 }
 
@@ -144,45 +173,60 @@ TEST(VerifyPlanTest, CleanDynPlanPasses) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// ---- seeded corruption catalogs ----
+TEST(VerifyPlanTest, CleanFusedDynPlanPasses) {
+  Built b = BuildFusedDynLoop();
+  ASSERT_EQ(b.plan->strategy(), ExecutionPlan::Strategy::kDynamic);
+  ASSERT_EQ(b.plan->fused_regions().size(), 1u);
+  const Report report = VerifyPlan(b.g, *b.plan);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// ---- the seeded corruption catalog, against every fixture ----
+
+// The fusion.* entries that must apply to a plan holding a region.
+void ExpectFusionEntriesApplied(const std::set<std::string>& applied) {
+  for (const char* name :
+       {"fusion-null-plan", "fusion-drop-root-member",
+        "fusion-out-of-region-consumer", "fusion-interior-fetched",
+        "fusion-interior-control"}) {
+    EXPECT_TRUE(applied.count(name)) << name << " did not apply";
+  }
+}
 
 TEST(VerifyPlanTest, PlainDagCorruptionsCaught) {
   const std::set<std::string> applied =
-      RunCatalog(DagCorruptions(), &BuildPlainDag);
-  // Everything except the fusion-specific entries applies to a plain DAG.
+      RunCatalog(PlanCorruptions(), &BuildPlainDag);
+  // Everything except the fusion-specific and loop-specific entries
+  // applies to a plain DAG.
   EXPECT_GE(applied.size(), 15u);
 }
 
 TEST(VerifyPlanTest, FusedDagCorruptionsCaught) {
-  const std::set<std::string> applied =
-      RunCatalog(DagCorruptions(), &BuildFusedDag);
-  // The fused plan additionally exercises the fusion.* entries.
-  EXPECT_TRUE(applied.count("fusion-null-plan"));
-  EXPECT_TRUE(applied.count("fusion-drop-root-member"));
-  EXPECT_TRUE(applied.count("fusion-out-of-region-consumer"));
-  EXPECT_TRUE(applied.count("fusion-interior-fetched"));
-  EXPECT_TRUE(applied.count("fusion-interior-control"));
+  ExpectFusionEntriesApplied(RunCatalog(PlanCorruptions(), &BuildFusedDag));
 }
 
 TEST(VerifyPlanTest, DynCorruptionsCaught) {
   const std::set<std::string> applied =
-      RunCatalog(DynCorruptions(), &BuildDynLoop);
+      RunCatalog(PlanCorruptions(), &BuildDynLoop);
   EXPECT_GE(applied.size(), 10u);
+  EXPECT_TRUE(applied.count("enter-frame-clear"));
+  EXPECT_FALSE(applied.count("back-edge"));
+}
+
+TEST(VerifyPlanTest, FusedDynCorruptionsCaught) {
+  const std::set<std::string> applied =
+      RunCatalog(PlanCorruptions(), &BuildFusedDynLoop);
+  EXPECT_GE(applied.size(), 10u);
+  ExpectFusionEntriesApplied(applied);
 }
 
 TEST(VerifyPlanTest, AtLeastTwentyDistinctCorruptionsCaught) {
   std::set<std::string> all;
-  for (const std::string& name : RunCatalog(DagCorruptions(),
-                                            &BuildPlainDag)) {
-    all.insert(name);
-  }
-  for (const std::string& name : RunCatalog(DagCorruptions(),
-                                            &BuildFusedDag)) {
-    all.insert(name);
-  }
-  for (const std::string& name : RunCatalog(DynCorruptions(),
-                                            &BuildDynLoop)) {
-    all.insert(name);
+  for (Built (*make)() :
+       {&BuildPlainDag, &BuildFusedDag, &BuildDynLoop, &BuildFusedDynLoop}) {
+    for (const std::string& name : RunCatalog(PlanCorruptions(), make)) {
+      all.insert(name);
+    }
   }
   EXPECT_GE(all.size(), 20u) << "only " << all.size()
                              << " distinct corruptions applied";
@@ -191,14 +235,14 @@ TEST(VerifyPlanTest, AtLeastTwentyDistinctCorruptionsCaught) {
 // The ISSUE's named negative cases must each map to a distinct diagnostic.
 TEST(VerifyPlanTest, NamedNegativeCasesHaveDistinctDiagnostics) {
   const std::vector<std::pair<std::string, Built (*)()>> cases = {
-      {"dag-back-edge", &BuildPlainDag},           // cycle injection
-      {"dag-fetch-dropped-remap", &BuildPlainDag}, // dropped fetch remap
+      {"back-edge", &BuildPlainDag},            // cycle injection
+      {"fetch-dropped-remap", &BuildPlainDag},  // dropped fetch remap
       {"liveness-undercount", &BuildPlainDag},
       {"fusion-out-of-region-consumer", &BuildFusedDag},
   };
   std::set<std::string> invariants;
   for (const auto& [name, make] : cases) {
-    const std::vector<Corruption> catalog = DagCorruptions();
+    const std::vector<Corruption> catalog = PlanCorruptions();
     const auto it = std::find_if(
         catalog.begin(), catalog.end(),
         [&name](const Corruption& c) { return c.name == name; });
@@ -310,8 +354,8 @@ TEST_F(VerifyHookTest, HookPassesCleanBuildsAndRejectsCorruptPlans) {
   EXPECT_NO_THROW(GetPlanVerifyHook()(b.g, *b.plan));
   // A corrupted plan is rejected with the report in the message.
   PlanCorruptor corruptor(&b.g, b.plan.get());
-  ASSERT_GT(b.plan->memory().dag.size(), 0u);
-  corruptor.memory().dag[0].output_reads += 1;
+  ASSERT_GT(b.plan->memory().nodes.size(), 0u);
+  corruptor.memory().nodes[0].output_reads += 1;
   EXPECT_THROW(GetPlanVerifyHook()(b.g, *b.plan), InternalError);
 }
 
@@ -320,8 +364,8 @@ TEST_F(VerifyHookTest, DisabledHookSkipsVerification) {
   SetVerifyEnabledForTesting(0);
   Built b = BuildPlainDag();
   PlanCorruptor corruptor(&b.g, b.plan.get());
-  ASSERT_GT(b.plan->memory().dag.size(), 0u);
-  corruptor.memory().dag[0].output_reads += 1;
+  ASSERT_GT(b.plan->memory().nodes.size(), 0u);
+  corruptor.memory().nodes[0].output_reads += 1;
   EXPECT_NO_THROW(GetPlanVerifyHook()(b.g, *b.plan));
 }
 
