@@ -316,7 +316,7 @@ void BM_ProfileOverhead(benchmark::State& state) {
   // (arg 1), same 16-op chain as BM_GraphExecutionPerOp/16. The disabled
   // path must stay within noise of baseline: the per-node hook is one
   // relaxed atomic load plus a branch. The enabled delta prices a jittered
-  // 1-in-16 sample (two clock reads + relaxed adds on the plan's own slot
+  // 1-in-64 sample (two clock reads + relaxed adds on the plan's own slot
   // array) amortized over every node execution.
   const bool profiling = state.range(0) != 0;
   const int n = 16;

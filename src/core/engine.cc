@@ -172,7 +172,6 @@ void JanusEngine::Attach() {
     trace_was_enabled_ = obs::Trace::Enabled();
     obs::Trace::Enable();
   }
-  if (options_.kernel_timing) obs::SetKernelTimingEnabled(true);
   // Publish this engine to the live-introspection endpoints: its private
   // registry feeds /metrics, its StatsReport() feeds /statusz. Detach()
   // retires both so a scrape after teardown still sees the final totals.
@@ -774,20 +773,22 @@ EngineStats JanusEngine::stats() const {
 std::string JanusEngine::StatsReport() const {
   std::string out = "=== JANUS engine observability report ===\n";
   out += metrics_.TextReport();
-  // Sampled kernel timers accumulate in the process-wide registry (they
-  // are recorded by the executors, which have no engine reference).
-  std::string kernels;
-  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-  for (const std::string& name : global.HistogramNames()) {
-    if (name.rfind("kernel.", 0) != 0) continue;
-    const obs::Histogram* histogram = global.FindHistogram(name);
-    if (histogram != nullptr) {
-      obs::AppendHistogramLine(kernels, name, *histogram);
+  // Per-op time is the process-wide profiler's node time grouped by op.
+  // Counts are samples, not executions.
+  const std::map<std::string, obs::ProfileRegistry::OpTiming> ops =
+      obs::ProfileRegistry::Global().OpTimings();
+  if (!ops.empty()) {
+    out += "--- sampled per-op node time (ns) ---\n";
+    for (const auto& [op, timing] : ops) {
+      char line[256];
+      std::snprintf(line, sizeof(line),
+                    "kernel.%-25s count=%llu mean=%.0f max=%llu\n", op.c_str(),
+                    static_cast<unsigned long long>(timing.count),
+                    static_cast<double>(timing.total_ns) /
+                        static_cast<double>(timing.count),
+                    static_cast<unsigned long long>(timing.max_ns));
+      out += line;
     }
-  }
-  if (!kernels.empty()) {
-    out += "--- sampled kernel timers (ns) ---\n";
-    out += kernels;
   }
   out += "--- specialization cache ---\n";
   out += cache_->TextReport();

@@ -71,9 +71,6 @@ struct EngineOptions {
   // file to this path. The JANUS_TRACE=<path> environment variable
   // provides the same process-wide without engine involvement.
   std::string trace_path;
-  // Sampled per-op kernel timers (histograms "kernel.<op>" in the global
-  // metrics registry) even when the tracer is off.
-  bool kernel_timing = false;
   // Plan-time fusion of elementwise regions into superops (runtime/fusion.h).
   // ANDed with the process-wide JANUS_FUSION kill switch; applies to every
   // plan this engine builds (main graphs and library functions).

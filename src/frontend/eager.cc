@@ -1,9 +1,10 @@
 #include "frontend/eager.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "autodiff/gradients.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 #include "runtime/executor.h"
 #include "runtime/kernel.h"
 #include "runtime/plan.h"
@@ -36,6 +37,34 @@ struct TensorKeyHash {
 
 TensorKey KeyFor(const Tensor& t) {
   return {t.data_id(), t.dtype(), t.shape().dims()};
+}
+
+// Records one sampled eager op into the process-wide "<imperative>"
+// profile: one node per kernel registered at first use, in
+// KernelRegistry::OpNames() (sorted) order. Later-registered ops have no
+// node and are not recorded.
+void RecordImperativeSample(const std::string& op, std::int64_t start_ns) {
+  static obs::PlanProfile* const profile = [] {
+    std::vector<obs::ProfileNodeInfo> nodes;
+    for (std::string& name : KernelRegistry::Global().OpNames()) {
+      obs::ProfileNodeInfo& node = nodes.emplace_back();
+      node.name = name;
+      node.op = std::move(name);
+    }
+    auto imperative =
+        std::make_shared<obs::PlanProfile>(std::move(nodes), "eager");
+    imperative->SetKey("<imperative>", "", 0);
+    obs::ProfileRegistry::Global().SetImperative(imperative);
+    return imperative.get();
+  }();
+  const std::vector<obs::ProfileNodeInfo>& nodes = profile->nodes();
+  const auto it = std::lower_bound(
+      nodes.begin(), nodes.end(), op,
+      [](const obs::ProfileNodeInfo& node, const std::string& name) {
+        return node.op < name;
+      });
+  if (it == nodes.end() || it->op != op) return;
+  profile->RecordSince(static_cast<int>(it - nodes.begin()), start_ns);
 }
 
 }  // namespace
@@ -92,15 +121,12 @@ Tensor EagerContext::Execute(const std::string& op,
   ctx.inputs = inputs;
   ctx.outputs.resize(1);
   ctx.run = &run;
-  // Same sampled per-op timing as the graph executors, so traces compare
+  // The graph executors' per-node sampler, so profiles and traces compare
   // eager dispatch against graph kernels under one clock.
-  const bool sampled = obs::ShouldSampleKernel();
+  const bool sampled = obs::ShouldSampleProfileNode();
   const std::int64_t start_ns = sampled ? obs::Trace::NowNs() : 0;
   KernelRegistry::Global().Lookup(op)(ctx);
-  if (sampled) {
-    obs::RecordKernelSample(op, "eager", start_ns,
-                            obs::Trace::NowNs() - start_ns);
-  }
+  if (sampled) RecordImperativeSample(op, start_ns);
   ++ops_executed_;
   Tensor output = std::move(ctx.outputs[0]);
   if (tape_ != nullptr) {

@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace janus {
@@ -14,8 +13,9 @@ namespace {
 
 // Node-resolved mean latencies from the source-attributed profiler
 // (preferred: distinguishes two MatMuls of different shapes), falling back
-// to per-op means from the sampled kernel timers. The hottest mean across
-// both sources scales the heat ramp. Empty when nothing has been recorded.
+// to the profiler's per-op means (ProfileRegistry::OpTimings). The hottest
+// mean across both scales the heat ramp. Empty when nothing has been
+// recorded.
 struct TimingIndex {
   std::map<std::string, double> node_mean_ns;  // node name -> mean latency
   std::map<std::string, double> mean_ns;       // op -> mean sampled latency
@@ -25,18 +25,18 @@ struct TimingIndex {
 TimingIndex BuildTimingIndex(const Graph& graph) {
   TimingIndex index;
   const std::map<std::string, double> profiled = obs::ProfileNodeMeanNs();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const std::map<std::string, obs::ProfileRegistry::OpTiming> ops =
+      obs::ProfileRegistry::Global().OpTimings();
   for (const auto& node : graph.nodes()) {
     if (const auto it = profiled.find(node->name()); it != profiled.end()) {
       index.node_mean_ns[node->name()] = it->second;
       index.max_mean_ns = std::max(index.max_mean_ns, it->second);
     }
     const std::string& op = node->op();
-    if (index.mean_ns.count(op) != 0u) continue;
-    const obs::Histogram* histogram =
-        registry.FindHistogram("kernel." + op);
-    if (histogram == nullptr || histogram->Count() == 0) continue;
-    const double mean = histogram->Mean();
+    const auto it = ops.find(op);
+    if (it == ops.end() || index.mean_ns.count(op) != 0u) continue;
+    const double mean = static_cast<double>(it->second.total_ns) /
+                        static_cast<double>(it->second.count);
     index.mean_ns[op] = mean;
     index.max_mean_ns = std::max(index.max_mean_ns, mean);
   }

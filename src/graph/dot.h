@@ -11,11 +11,10 @@
 namespace janus {
 
 struct DotOptions {
-  // Annotate each node whose op has a sampled kernel timer (histogram
-  // "kernel.<op>" in obs::MetricsRegistry::Global()) with its mean latency
-  // and a heat color scaled to the hottest op in the graph, so ToDot()
-  // doubles as a visual profile. Run with tracing / kernel timing enabled
-  // first to populate the timers.
+  // Annotate each node the profiler sampled (failing that, its op's mean,
+  // marked "(op avg)") with its mean latency and a heat color scaled to the
+  // hottest op in the graph, so ToDot() doubles as a visual profile. Run
+  // with profiling or tracing enabled first to collect samples.
   bool annotate_timing = false;
 };
 

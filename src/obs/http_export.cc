@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -48,8 +47,8 @@ void HistogramSnapshot::Accumulate(const HistogramSnapshot& other) {
 // IntrospectionHub
 
 IntrospectionHub& IntrospectionHub::Global() {
-  // Leaked: the HTTP thread and atexit linger loop may consult the hub
-  // during process teardown.
+  // Leaked: the HTTP thread and the obs exit handler's linger loop may
+  // consult the hub during process teardown.
   static IntrospectionHub* hub = new IntrospectionHub();
   return *hub;
 }
@@ -228,6 +227,21 @@ void AppendHistogramExposition(std::string& out, const std::string& family,
          "\n";
 }
 
+// A profile's op timing in the metrics histogram's geometry. Profile
+// bucket b < 31 holds [2^b, 2^(b+1)) ns (b = 0 also holds 0), which is
+// metrics bucket b + 1, whose `le` bound 2^(b+1) - 1 it satisfies. The top
+// profile bucket saturates (>= 2^31 ns, no upper bound), so its samples
+// get no finite bucket and count only under le="+Inf".
+HistogramSnapshot FromOpTiming(const ProfileRegistry::OpTiming& timing) {
+  HistogramSnapshot snapshot;
+  for (int b = 0; b + 1 < PlanProfile::kNumBuckets; ++b) {
+    snapshot.buckets[b + 1] = static_cast<std::int64_t>(timing.buckets[b]);
+  }
+  snapshot.count = static_cast<std::int64_t>(timing.count);
+  snapshot.sum = static_cast<std::int64_t>(timing.total_ns);
+  return snapshot;
+}
+
 }  // namespace
 
 std::string RenderPrometheusText() {
@@ -248,31 +262,26 @@ std::string RenderPrometheusText() {
     out += name + " " + std::to_string(value) + "\n";
   }
 
-  // Histograms. Per-op kernel timers (kernel.<op>) collapse into one
-  // labeled family so an unbounded op vocabulary cannot explode the
-  // exposition's family count.
-  std::map<std::string, HistogramSnapshot> kernel_ops;
+  // Histograms.
   std::map<std::string, HistogramSnapshot> families;
   for (const auto& [name, snapshot] : hub.MergedHistograms()) {
-    constexpr std::string_view kKernelPrefix = "kernel.";
-    if (name.size() > kKernelPrefix.size() &&
-        std::string_view(name).substr(0, kKernelPrefix.size()) ==
-            kKernelPrefix) {
-      kernel_ops[name.substr(kKernelPrefix.size())].Accumulate(snapshot);
-    } else {
-      families[PrometheusMetricName(name)].Accumulate(snapshot);
-    }
+    families[PrometheusMetricName(name)].Accumulate(snapshot);
   }
   for (const auto& [family, snapshot] : families) {
     out += "# TYPE " + family + " histogram\n";
     AppendHistogramExposition(out, family, "", snapshot);
   }
-  if (!kernel_ops.empty()) {
+  // Per-op node time from the profiler's samples, one labeled family so an
+  // unbounded op vocabulary cannot explode the family count.
+  const std::map<std::string, ProfileRegistry::OpTiming> ops =
+      ProfileRegistry::Global().OpTimings();
+  if (!ops.empty()) {
     out += "# TYPE janus_kernel_ns histogram\n";
-    for (const auto& [op, snapshot] : kernel_ops) {
+    for (const auto& [op, timing] : ops) {
       const std::string labels =
           "op=\"" + PrometheusEscapeLabelValue(op) + "\"";
-      AppendHistogramExposition(out, "janus_kernel_ns", labels, snapshot);
+      AppendHistogramExposition(out, "janus_kernel_ns", labels,
+                                FromOpTiming(timing));
     }
   }
   return out;
@@ -282,7 +291,8 @@ std::string RenderPrometheusText() {
 // HTTP server
 
 HttpExportServer& HttpExportServer::Global() {
-  // Leaked: the accept thread and atexit linger loop may outlive statics.
+  // Leaked: the accept thread and the exit handler's linger loop may
+  // outlive statics.
   static HttpExportServer* server = new HttpExportServer();
   return *server;
 }
@@ -493,43 +503,5 @@ void HttpExportServer::ServeConnection(int fd) {
   send_all(response.body);
 }
 
-namespace {
-
-// JANUS_HTTP_PORT=<port>: start the introspection server at static-init
-// time so any binary becomes scrape-able with no code changes.
-// JANUS_HTTP_LINGER_MS=<ms>: after main returns, keep serving for up to
-// <ms> (or until /quitquitquit) so scrapers can collect final metrics from
-// short-lived batch binaries; the ledger/trace atexit dumps still run.
-struct HttpEnvInit {
-  HttpEnvInit() {
-    const char* port_env = std::getenv("JANUS_HTTP_PORT");
-    if (port_env == nullptr || *port_env == '\0') return;
-    char* end = nullptr;
-    const long parsed = std::strtol(port_env, &end, 10);
-    if (end == port_env || parsed < 0 || parsed > 65535) {
-      JANUS_LOG(kError) << "http_export: invalid JANUS_HTTP_PORT '"
-                        << port_env << "'";
-      return;
-    }
-    if (!HttpExportServer::Global().Start(static_cast<int>(parsed))) return;
-    static long linger_ms = 0;
-    if (const char* linger_env = std::getenv("JANUS_HTTP_LINGER_MS");
-        linger_env != nullptr && *linger_env != '\0') {
-      linger_ms = std::strtol(linger_env, nullptr, 10);
-    }
-    std::atexit([] {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(linger_ms);
-      while (linger_ms > 0 && !HttpExportServer::QuitRequested() &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-      HttpExportServer::Global().Stop();
-    });
-  }
-};
-const HttpEnvInit http_env_init;
-
-}  // namespace
 }  // namespace obs
 }  // namespace janus

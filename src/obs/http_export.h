@@ -14,21 +14,22 @@
 // Endpoints (all text/plain, loopback only):
 //   /metrics       Prometheus text exposition 0.0.4: every counter and
 //                  histogram from the global registry, live registered
-//                  registries, and retired sources, merged by name.
-//                  kernel.<op> histograms collapse into one family,
-//                  janus_kernel_ns{op="<op>"}.
+//                  registries, and retired sources, merged by name; plus
+//                  the profiler's sampled node time per op as one family,
+//                  janus_kernel_ns{op="<op>"} (ProfileRegistry::OpTimings).
 //   /statusz       concatenated status text from every registered (and
 //                  retired) provider — Engine::StatsReport() per engine.
 //   /flightz       the most recent speculation-ledger records as JSONL.
 //   /healthz       "ok" liveness probe.
 //   /quitquitquit  sets the quit flag polled by the linger loop, so CI
 //                  can scrape a short-lived process and then release it
-//                  for a clean exit (atexit dumps still run).
+//                  for a clean exit (the exit dumps still run).
 //
-// Env: JANUS_HTTP_PORT=<port> starts the server at static-init time;
-// JANUS_HTTP_LINGER_MS=<ms> keeps the process alive after main returns
-// for at most that long (or until /quitquitquit), giving scrapers a
-// window to collect final metrics from batch binaries.
+// Env (applied by the obs initializer in trace.cc): JANUS_HTTP_PORT=<port>
+// starts the server at static-init time; JANUS_HTTP_LINGER_MS=<ms> keeps
+// the process alive after main returns for at most that long (or until
+// /quitquitquit), giving scrapers a window to collect final metrics from
+// batch binaries.
 #ifndef JANUS_OBS_HTTP_EXPORT_H_
 #define JANUS_OBS_HTTP_EXPORT_H_
 

@@ -78,7 +78,7 @@ void Ledger::Allocate(std::size_t capacity) {
 }
 
 Ledger& Ledger::Global() {
-  // Leaked: producers and the JANUS_LEDGER atexit dump may run during
+  // Leaked: producers and the JANUS_LEDGER exit dump may run during
   // process teardown and must always find a live ring.
   static Ledger* ledger = new Ledger();
   return *ledger;
@@ -242,25 +242,5 @@ bool Ledger::WriteJsonl(const std::string& path) const {
   return file.good();
 }
 
-namespace {
-
-// JANUS_LEDGER=<path>: enable the flight recorder for the whole process
-// and dump the retained records as JSONL at exit, so any example or
-// benchmark binary is attributable with no code changes (the JANUS_TRACE
-// idiom).
-struct LedgerEnvInit {
-  LedgerEnvInit() {
-    const char* path = std::getenv("JANUS_LEDGER");
-    if (path == nullptr || path[0] == '\0') return;
-    Ledger::Global();  // ensure the (leaked) ring outlives the handler
-    Ledger::Enable();
-    static std::string output_path;  // atexit handlers take no arguments
-    output_path = path;
-    std::atexit([] { Ledger::Global().WriteJsonl(output_path); });
-  }
-};
-const LedgerEnvInit ledger_env_init;
-
-}  // namespace
 }  // namespace obs
 }  // namespace janus

@@ -86,7 +86,7 @@ class Ledger {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
-  // The one process-wide recorder (leaked so atexit dumps always find it).
+  // The one process-wide recorder (leaked so the exit dump always finds it).
   static Ledger& Global();
 
   // The producer fast path: call sites test this before building records.

@@ -107,6 +107,26 @@ void Histogram::Reset() {
   count_.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+// One "name count=... mean=... p50=..." report line.
+void AppendHistogramLine(std::string& out, const std::string& name,
+                         const Histogram& histogram) {
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "%-32s count=%lld mean=%.0f p50=%lld p95=%lld p99=%lld "
+                "max=%lld\n",
+                name.c_str(), static_cast<long long>(histogram.Count()),
+                histogram.Mean(),
+                static_cast<long long>(histogram.Percentile(50)),
+                static_cast<long long>(histogram.Percentile(95)),
+                static_cast<long long>(histogram.Percentile(99)),
+                static_cast<long long>(histogram.Max()));
+  out += line;
+}
+
+}  // namespace
+
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked so late recorders (thread exits, atexit exporters) always find
   // a live registry.
@@ -163,21 +183,6 @@ std::vector<std::string> MetricsRegistry::HistogramNames() const {
   names.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) names.push_back(name);
   return names;
-}
-
-void AppendHistogramLine(std::string& out, const std::string& name,
-                         const Histogram& histogram) {
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "%-32s count=%lld mean=%.0f p50=%lld p95=%lld p99=%lld "
-                "max=%lld\n",
-                name.c_str(), static_cast<long long>(histogram.Count()),
-                histogram.Mean(),
-                static_cast<long long>(histogram.Percentile(50)),
-                static_cast<long long>(histogram.Percentile(95)),
-                static_cast<long long>(histogram.Percentile(99)),
-                static_cast<long long>(histogram.Max()));
-  out += line;
 }
 
 std::string MetricsRegistry::TextReport() const {

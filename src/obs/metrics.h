@@ -1,10 +1,10 @@
 // Named counters and log-bucketed latency histograms.
 //
-// One registry absorbs every statistic the runtime produces — the engine's
-// Fig. 2 decision-loop counters, per-run RunMetrics, buffer-pool traffic,
-// and sampled per-op kernel timers — so any layer can report through the
-// same path and any consumer (Engine::StatsReport(), the DOT heat-map
-// annotator, tests) can query it.
+// One registry absorbs the runtime's counters and latency histograms — the
+// engine's Fig. 2 decision-loop counters, per-run RunMetrics, buffer-pool
+// traffic — so any layer can report through the same path and any consumer
+// (Engine::StatsReport(), /metrics, tests) can query it. Per-op time is not
+// here: it is the profiler's node time grouped by op (obs/profile.h).
 //
 // Counters and histogram buckets are relaxed atomics: recording is
 // wait-free and safe from pool worker threads; reads are snapshots that
@@ -88,9 +88,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // The process-wide registry: kernel timers and other cross-engine
-  // metrics. Engines additionally own a private registry for per-engine
-  // phase histograms.
+  // The process-wide registry for cross-engine metrics. Engines
+  // additionally own a private registry for per-engine phase histograms.
   static MetricsRegistry& Global();
 
   Counter& GetCounter(std::string_view name);
@@ -121,11 +120,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       GUARDED_BY(mu_);
 };
-
-// Appends one formatted "name count=... mean=... p50=..." line per
-// histogram; shared by MetricsRegistry::TextReport and Engine::StatsReport.
-void AppendHistogramLine(std::string& out, const std::string& name,
-                         const Histogram& histogram);
 
 }  // namespace obs
 }  // namespace janus

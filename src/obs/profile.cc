@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "obs/ledger.h"
 
 namespace janus {
 namespace obs {
@@ -23,9 +24,11 @@ std::string ProfileSite::Label() const {
 // PlanProfile
 // ---------------------------------------------------------------------------
 
-PlanProfile::PlanProfile(std::vector<ProfileNodeInfo> nodes)
+PlanProfile::PlanProfile(std::vector<ProfileNodeInfo> nodes,
+                         const char* trace_category)
     : nodes_(std::move(nodes)),
-      slots_(std::make_unique<Slot[]>(nodes_.empty() ? 1 : nodes_.size())) {}
+      slots_(std::make_unique<Slot[]>(nodes_.empty() ? 1 : nodes_.size())),
+      trace_category_(trace_category) {}
 
 void PlanProfile::Record(int index, std::int64_t dur_ns) {
   if (index < 0 || index >= num_nodes()) return;
@@ -44,6 +47,27 @@ void PlanProfile::Record(int index, std::int64_t dur_ns) {
       std::min(kNumBuckets - 1,
                ns == 0 ? 0 : static_cast<int>(std::bit_width(ns)) - 1);
   slot.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+}
+
+void PlanProfile::RecordSince(int index, std::int64_t start_ns) {
+  const std::int64_t dur_ns = Trace::NowNs() - start_ns;
+  Record(index, dur_ns);
+  if (Trace::Enabled() && index >= 0 && index < num_nodes()) {
+    Trace::RecordComplete(nodes_[static_cast<std::size_t>(index)].op,
+                          trace_category_, start_ns, dur_ns, "sampled", 1);
+  }
+}
+
+void PlanProfile::Clear() {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    Slot& slot = slots_[i];
+    slot.count.store(0, std::memory_order_relaxed);
+    slot.total_ns.store(0, std::memory_order_relaxed);
+    slot.max_ns.store(0, std::memory_order_relaxed);
+    for (auto& bucket : slot.buckets) {
+      bucket.store(0, std::memory_order_relaxed);
+    }
+  }
 }
 
 void PlanProfile::SetKey(std::string unit, std::string variant, int level) {
@@ -69,8 +93,28 @@ PlanProfile::NodeSnapshot PlanProfile::Snapshot(int index) const {
 // ProfileRegistry
 // ---------------------------------------------------------------------------
 
+namespace {
+
+void AddOpTimings(const PlanProfile& profile,
+                  std::map<std::string, ProfileRegistry::OpTiming>* by_op) {
+  for (int i = 0; i < profile.num_nodes(); ++i) {
+    const PlanProfile::NodeSnapshot snap = profile.Snapshot(i);
+    if (snap.count == 0) continue;
+    ProfileRegistry::OpTiming& timing =
+        (*by_op)[profile.nodes()[static_cast<std::size_t>(i)].op];
+    timing.count += snap.count;
+    timing.total_ns += snap.total_ns;
+    timing.max_ns = std::max(timing.max_ns, snap.max_ns);
+    for (int b = 0; b < PlanProfile::kNumBuckets; ++b) {
+      timing.buckets[b] += snap.buckets[b];
+    }
+  }
+}
+
+}  // namespace
+
 ProfileRegistry& ProfileRegistry::Global() {
-  // Leaked: the JANUS_PROFILE atexit exporter must always find it alive.
+  // Leaked: the JANUS_PROFILE exit dump must always find it alive.
   static ProfileRegistry* registry = new ProfileRegistry();
   return *registry;
 }
@@ -79,10 +123,36 @@ void ProfileRegistry::Register(std::shared_ptr<PlanProfile> profile) {
   if (profile == nullptr) return;
   const std::lock_guard<std::mutex> lock(mu_);
   if (profiles_.size() >= kMaxProfiles) {
+    AddOpTimings(*profiles_.front(), &dropped_ops_);
     profiles_.erase(profiles_.begin());
     ++dropped_;
   }
   profiles_.push_back(std::move(profile));
+}
+
+void ProfileRegistry::SetImperative(std::shared_ptr<PlanProfile> profile) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  imperative_ = std::move(profile);
+}
+
+std::vector<std::shared_ptr<PlanProfile>> ProfileRegistry::Exported() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::shared_ptr<PlanProfile>> exported;
+  exported.reserve(profiles_.size() + 1);
+  if (imperative_ != nullptr) exported.push_back(imperative_);
+  exported.insert(exported.end(), profiles_.begin(), profiles_.end());
+  return exported;
+}
+
+std::map<std::string, ProfileRegistry::OpTiming> ProfileRegistry::OpTimings()
+    const {
+  // One critical section: a profile dropped mid-scrape is counted exactly
+  // once, live or folded, so the totals never dip.
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::map<std::string, OpTiming> by_op = dropped_ops_;
+  if (imperative_ != nullptr) AddOpTimings(*imperative_, &by_op);
+  for (const auto& profile : profiles_) AddOpTimings(*profile, &by_op);
+  return by_op;
 }
 
 std::vector<std::shared_ptr<PlanProfile>> ProfileRegistry::Profiles() const {
@@ -98,24 +168,45 @@ std::uint64_t ProfileRegistry::dropped() const {
 void ProfileRegistry::Reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   profiles_.clear();
+  dropped_ops_.clear();
   dropped_ = 0;
+  if (imperative_ != nullptr) imperative_->Clear();
 }
 
 // ---------------------------------------------------------------------------
-// Enable flag
+// Enable flag + sampling
 // ---------------------------------------------------------------------------
 
 namespace internal {
-std::atomic<bool> profiling_active{false};
+std::atomic<std::uint32_t> sampler_armed{0};
 thread_local std::uint32_t profile_sample_countdown = 0;
+
+std::uint32_t NextSampleGap(std::uint32_t nominal) {
+  // Per-thread xorshift32, seeded from the thread-local's address so
+  // threads decorrelate without any shared state.
+  thread_local std::uint32_t state = [] {
+    const auto seed = static_cast<std::uint32_t>(
+        reinterpret_cast<std::uintptr_t>(&profile_sample_countdown) >> 4);
+    return seed | 1u;  // xorshift must not start at 0
+  }();
+  state ^= state << 13;
+  state ^= state >> 17;
+  state ^= state << 5;
+  if (nominal <= 1) return 1;
+  // Uniform in [nominal/2, 3*nominal/2): mean = nominal, never 0.
+  const std::uint32_t half = nominal / 2;
+  return half + state % nominal + (half == 0 ? 1 : 0);
+}
 }  // namespace internal
 
 void EnableProfiling() {
-  internal::profiling_active.store(true, std::memory_order_relaxed);
+  internal::sampler_armed.fetch_or(internal::kSampleForProfiler,
+                                   std::memory_order_relaxed);
 }
 
 void DisableProfiling() {
-  internal::profiling_active.store(false, std::memory_order_relaxed);
+  internal::sampler_armed.fetch_and(~internal::kSampleForProfiler,
+                                    std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,42 +263,11 @@ struct UnitKey {
   }
 };
 
-void JsonEscape(std::ostringstream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << hex;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<ProfileSample> CollectProfileSamples() {
   std::vector<ProfileSample> samples;
-  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
+  for (const auto& profile : ProfileRegistry::Global().Exported()) {
     for (int i = 0; i < profile->num_nodes(); ++i) {
       AppendNodeSamples(*profile, i, &samples);
     }
@@ -217,7 +277,7 @@ std::vector<ProfileSample> CollectProfileSamples() {
 
 std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
   std::map<UnitKey, ProfileUnitTotals> by_key;
-  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
+  for (const auto& profile : ProfileRegistry::Global().Exported()) {
     const UnitKey key{profile->unit(), profile->variant(),
                       profile->despecialization_level()};
     ProfileUnitTotals& totals = by_key[key];
@@ -363,6 +423,11 @@ std::string RenderProfileText() {
 std::string RenderProfileJson() {
   const std::vector<ProfileSample> samples = CollectProfileSamples();
   const std::vector<ProfileUnitTotals> units = CollectProfileUnitTotals();
+  const auto escaped = [](std::string_view text) {
+    std::string out;
+    AppendJsonEscaped(out, text);
+    return out;
+  };
   std::ostringstream out;
   out << "{\"enabled\":" << (ProfilingEnabled() ? "true" : "false")
       << ",\"sample_stride\":" << kProfileSampleEvery << ",\"units\":[";
@@ -371,9 +436,9 @@ std::string RenderProfileJson() {
     if (!first_unit) out << ",";
     first_unit = false;
     out << "{\"unit\":\"";
-    JsonEscape(out, unit.unit);
+    out << escaped(unit.unit);
     out << "\",\"variant\":\"";
-    JsonEscape(out, unit.variant);
+    out << escaped(unit.variant);
     out << "\",\"level\":" << unit.level << ",\"runs\":" << unit.runs
         << ",\"generation_ns\":" << unit.generation_ns
         << ",\"validation_ns\":" << unit.validation_ns
@@ -406,7 +471,7 @@ std::string RenderProfileJson() {
       if (!first_line) out << ",";
       first_line = false;
       out << "{\"function\":\"";
-      JsonEscape(out, acc.function);
+      out << escaped(acc.function);
       out << "\",\"line\":" << acc.line
           << ",\"execution_ns\":" << acc.total_ns
           << ",\"count\":" << acc.count << "}";
@@ -423,11 +488,11 @@ std::string RenderProfileJson() {
       if (!first_node) out << ",";
       first_node = false;
       out << "{\"node\":\"";
-      JsonEscape(out, sample->node);
+      out << escaped(sample->node);
       out << "\",\"op\":\"";
-      JsonEscape(out, sample->op);
+      out << escaped(sample->op);
       out << "\",\"function\":\"";
-      JsonEscape(out, sample->function);
+      out << escaped(sample->function);
       out << "\",\"line\":" << sample->line
           << ",\"count\":" << sample->count
           << ",\"total_ns\":" << sample->total_ns
@@ -548,30 +613,6 @@ ProfileDiffResult DiffProfilesBySite(const FoldedProfile& before,
             });
   return result;
 }
-
-// ---------------------------------------------------------------------------
-// JANUS_PROFILE env hook
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// JANUS_PROFILE=<path>: enable profiling for the whole process and write a
-// folded-stacks dump at exit — flamegraph.pl renders it directly. Mirrors
-// the JANUS_TRACE hook so any binary can be profiled with no code changes.
-struct ProfileEnvInit {
-  ProfileEnvInit() {
-    const char* path = std::getenv("JANUS_PROFILE");
-    if (path == nullptr || path[0] == '\0') return;
-    ProfileRegistry::Global();  // the (leaked) registry outlives the handler
-    EnableProfiling();
-    static std::string output_path;  // atexit handlers take no arguments
-    output_path = path;
-    std::atexit([] { WriteFoldedStacks(output_path); });
-  }
-};
-const ProfileEnvInit profile_env_init;
-
-}  // namespace
 
 }  // namespace obs
 }  // namespace janus

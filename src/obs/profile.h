@@ -10,6 +10,10 @@
 // {conversion unit, variant, despecialization level}, so a unit's cost is
 // attributable across recompilations of the same source.
 //
+// This sampler is the only per-op timer: eager dispatch records into a
+// process-wide "<imperative>" profile, per-op time is node time grouped by
+// op (ProfileRegistry::OpTimings), and tracing arms the same sampler.
+//
 // Cost model (mirrors trace/ledger):
 //  * disabled (default): the per-node hook is one relaxed atomic load and
 //    a branch;
@@ -21,6 +25,7 @@
 //  * /profilez on the introspection HTTP server — human text and
 //    ?format=json (top nodes, per-source-line rollup, per-unit
 //    generation/validation/execution split);
+//  * /metrics janus_kernel_ns{op} — OpTimings() as Prometheus histograms;
 //  * /pprof/profile — gzipped pprof profile.proto whose sample stacks are
 //    imperative function -> statement -> op (see obs/pprof_encode.h);
 //  * JANUS_PROFILE=<path> — folded-stacks dump at process exit, directly
@@ -72,15 +77,28 @@ struct ProfileNodeInfo {
 // synchronization while an HTTP scrape snapshots concurrently.
 class PlanProfile {
  public:
+  // Bucket b holds durations whose bit width is b + 1, i.e. [2^b, 2^(b+1))
+  // ns (bucket 0 also holds 0); the top bucket saturates: >= 2^31 ns.
   static constexpr int kNumBuckets = 32;
 
-  explicit PlanProfile(std::vector<ProfileNodeInfo> nodes);
+  // `trace_category` (a static string) is the trace category of sampled
+  // nodes' events: "kernel" for plans, "eager" for the imperative profile.
+  explicit PlanProfile(std::vector<ProfileNodeInfo> nodes,
+                       const char* trace_category = "kernel");
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<ProfileNodeInfo>& nodes() const { return nodes_; }
 
   // Hot path: adds one sampled execution of `index` taking `dur_ns`.
   void Record(int index, std::int64_t dur_ns);
+
+  // Ends one sampled execution of `index` that began at `start_ns`
+  // (Trace::NowNs() timebase): Record()s it and, while tracing, emits it
+  // as a complete trace event named after the node's op.
+  void RecordSince(int index, std::int64_t start_ns);
+
+  // Zeroes every node slot (tests).
+  void Clear();
 
   // Aggregation key: {conversion unit, variant, despecialization level}.
   // Set once by the engine right after compilation; plans built outside an
@@ -124,6 +142,7 @@ class PlanProfile {
 
   std::vector<ProfileNodeInfo> nodes_;
   std::unique_ptr<Slot[]> slots_;
+  const char* trace_category_;
   std::string unit_;
   std::string variant_;
   int level_ = 0;
@@ -137,23 +156,42 @@ class PlanProfile {
 // registry holds weak-free shared_ptrs so a scrape racing plan eviction
 // still reads valid slots). Bounded: past kMaxProfiles the oldest
 // registration is dropped (dropped_ counts them) — continuous profiling
-// must not grow without bound under cache churn.
+// must not grow without bound under cache churn. A dropped profile's
+// per-op totals fold into OpTimings() first, so per-op exports stay
+// monotonic.
 class ProfileRegistry {
  public:
   static constexpr std::size_t kMaxProfiles = 512;
 
+  using OpTiming = PlanProfile::NodeSnapshot;
+
   static ProfileRegistry& Global();
 
   void Register(std::shared_ptr<PlanProfile> profile);
+  // The registered plan profiles (the imperative profile is not one).
   std::vector<std::shared_ptr<PlanProfile>> Profiles() const;
   std::uint64_t dropped() const;
 
-  // Drops all registrations (tests).
+  // The process-wide eager-dispatch profile (unit "<imperative>"):
+  // exported, but never dropped by the bound or by Reset().
+  void SetImperative(std::shared_ptr<PlanProfile> profile);
+  // The imperative profile (when set), then Profiles().
+  std::vector<std::shared_ptr<PlanProfile>> Exported() const;
+
+  // Unscaled sampled node time grouped by op over every exported profile
+  // plus the dropped ones; ops with no samples are omitted. A fused region
+  // counts under its own op, "FusedRegion".
+  std::map<std::string, OpTiming> OpTimings() const;
+
+  // Drops all plan registrations and dropped-profile totals, and clears
+  // the imperative profile's counts (tests).
   void Reset();
 
  private:
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<PlanProfile>> profiles_;
+  std::shared_ptr<PlanProfile> imperative_;
+  std::map<std::string, OpTiming> dropped_ops_;
   std::uint64_t dropped_ = 0;
 };
 
@@ -162,12 +200,22 @@ class ProfileRegistry {
 // ---------------------------------------------------------------------------
 
 namespace internal {
-extern std::atomic<bool> profiling_active;
+// Which of EnableProfiling / Trace::Enable armed the sampler; fetch_or /
+// fetch_and keep the two switches from losing each other's bit.
+inline constexpr std::uint32_t kSampleForProfiler = 1;
+inline constexpr std::uint32_t kSampleForTrace = 2;
+extern std::atomic<std::uint32_t> sampler_armed;
 extern thread_local std::uint32_t profile_sample_countdown;
+// Next countdown reload for a nominal stride: uniform in
+// [nominal/2, 3*nominal/2) from a per-thread xorshift PRNG (mean =
+// nominal). A deterministic every-Nth stride aliases with fixed-length
+// plans — a 16-op chain under a 16-stride sampler times the same node
+// forever — so gaps are jittered. All state is thread-local.
+std::uint32_t NextSampleGap(std::uint32_t nominal);
 }  // namespace internal
 
 // Nominal sampling stride: ~1 in 64 node executions is timed while
-// profiling is enabled. Exports scale counts/times back up by this factor.
+// the sampler is armed. Exports scale counts/times back up by this factor.
 // 64 keeps the enabled overhead on a chain of ~40ns ops under ~5%
 // (BM_ProfileOverhead); long-running workloads still collect thousands of
 // samples per second per thread.
@@ -176,12 +224,14 @@ inline constexpr std::uint32_t kProfileSampleEvery = 64;
 void EnableProfiling();
 void DisableProfiling();
 
+// True while the sampler runs: profiling is enabled or tracing is on.
 inline bool ProfilingEnabled() {
-  return internal::profiling_active.load(std::memory_order_relaxed);
+  return internal::sampler_armed.load(std::memory_order_relaxed) != 0;
 }
 
-// Executors call this once per plan-node execution. Disabled cost: the
-// relaxed load above and a branch. The countdown is thread-local and the
+// Executors call this once per plan-node execution and eager dispatch
+// once per op: the one sampling check every kernel passes. Disabled cost:
+// the relaxed load above and a branch. The countdown is thread-local and the
 // reload jittered (internal::NextSampleGap) so a fixed-length plan cannot
 // alias with the stride and pin sampling onto one node.
 inline bool ShouldSampleProfileNode() {

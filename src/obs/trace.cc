@@ -7,10 +7,12 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <thread>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
+#include "obs/http_export.h"
+#include "obs/ledger.h"
+#include "obs/profile.h"
 
 namespace janus {
 namespace obs {
@@ -61,9 +63,8 @@ struct Registry {
   std::uint32_t next_tid = 1;
 };
 
-// Leaked intentionally: thread-local destructors and the JANUS_TRACE
-// atexit exporter may run during process teardown and must always find a
-// live registry.
+// Leaked intentionally: thread-local destructors and the obs exit handler
+// may run during process teardown and must always find a live registry.
 Registry& GlobalRegistry() {
   static Registry* registry = new Registry();
   return *registry;
@@ -83,104 +84,32 @@ ThreadBuffer& LocalBuffer() {
   return *buffer;
 }
 
-void JsonEscape(std::ostringstream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << hex;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 // Nanosecond count rendered as microseconds with fractional digits, the
 // unit Chrome's "ts"/"dur" fields expect.
-void EmitMicros(std::ostringstream& out, std::int64_t ns) {
+void EmitMicros(std::string& out, std::int64_t ns) {
   if (ns < 0) ns = 0;
   char text[32];
   std::snprintf(text, sizeof(text), "%lld.%03lld",
                 static_cast<long long>(ns / 1000),
                 static_cast<long long>(ns % 1000));
-  out << text;
+  out += text;
 }
-
-void RefreshSamplingFlag();
 
 }  // namespace
 
 std::atomic<bool> Trace::enabled_{false};
 
-namespace internal {
-std::atomic<bool> kernel_sampling_active{false};
-thread_local std::uint32_t kernel_sample_countdown = 0;
-
-std::uint32_t NextSampleGap(std::uint32_t nominal) {
-  // Per-thread xorshift32, seeded from the thread-local's address so
-  // threads decorrelate without any shared state.
-  thread_local std::uint32_t state = [] {
-    const auto seed = static_cast<std::uint32_t>(
-        reinterpret_cast<std::uintptr_t>(&kernel_sample_countdown) >> 4);
-    return seed | 1u;  // xorshift must not start at 0
-  }();
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  if (nominal <= 1) return 1;
-  // Uniform in [nominal/2, 3*nominal/2): mean = nominal, never 0.
-  const std::uint32_t half = nominal / 2;
-  return half + state % nominal + (half == 0 ? 1 : 0);
-}
-}  // namespace internal
-
-namespace {
-std::atomic<bool> g_kernel_timing_enabled{false};
-
-void RefreshSamplingFlag() {
-  internal::kernel_sampling_active.store(
-      Trace::Enabled() || g_kernel_timing_enabled.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-}  // namespace
-
 void Trace::Enable() {
   TraceEpoch();  // pin the epoch before the first event
   enabled_.store(true, std::memory_order_relaxed);
-  RefreshSamplingFlag();
+  internal::sampler_armed.fetch_or(internal::kSampleForTrace,
+                                   std::memory_order_relaxed);
 }
 
 void Trace::Disable() {
   enabled_.store(false, std::memory_order_relaxed);
-  RefreshSamplingFlag();
-}
-
-void SetKernelTimingEnabled(bool enabled) {
-  g_kernel_timing_enabled.store(enabled, std::memory_order_relaxed);
-  RefreshSamplingFlag();
-}
-
-bool KernelTimingEnabled() {
-  return g_kernel_timing_enabled.load(std::memory_order_relaxed);
+  internal::sampler_armed.fetch_and(~internal::kSampleForTrace,
+                                    std::memory_order_relaxed);
 }
 
 std::int64_t Trace::NowNs() { return SteadyNowRaw() - TraceEpoch(); }
@@ -287,46 +216,47 @@ void Trace::SetBufferCapacityForTesting(std::size_t events) {
 
 std::string Trace::ToChromeJson() {
   const std::vector<TraceEvent> events = Collect();
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
+  std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& event : events) {
-    if (!first) out << ",";
+    if (!first) out += ',';
     first = false;
-    out << "{\"name\":\"";
-    JsonEscape(out, event.name);
-    out << "\",\"cat\":\"";
-    JsonEscape(out, event.category);
-    out << "\",\"ph\":\"" << event.phase << "\",\"pid\":1,\"tid\":"
-        << event.tid << ",\"ts\":";
+    out += "{\"name\":\"";
+    AppendJsonEscaped(out, event.name);
+    out += "\",\"cat\":\"";
+    AppendJsonEscaped(out, event.category);
+    out += "\",\"ph\":\"";
+    out += event.phase;
+    out += "\",\"pid\":1,\"tid\":";
+    out += std::to_string(event.tid);
+    out += ",\"ts\":";
     EmitMicros(out, event.start_ns);
     if (event.phase == 'X') {
-      out << ",\"dur\":";
+      out += ",\"dur\":";
       EmitMicros(out, event.dur_ns);
     } else {
-      out << ",\"s\":\"t\"";  // instant scope: thread
+      out += ",\"s\":\"t\"";  // instant scope: thread
     }
     if (event.arg_key != nullptr || !event.detail.empty()) {
-      out << ",\"args\":{";
-      bool first_arg = true;
+      out += ",\"args\":{";
       if (event.arg_key != nullptr) {
-        out << "\"";
-        JsonEscape(out, event.arg_key);
-        out << "\":" << event.arg_value;
-        first_arg = false;
+        out += '"';
+        AppendJsonEscaped(out, event.arg_key);
+        out += "\":";
+        out += std::to_string(event.arg_value);
       }
       if (!event.detail.empty()) {
-        if (!first_arg) out << ",";
-        out << "\"detail\":\"";
-        JsonEscape(out, event.detail);
-        out << "\"";
+        if (event.arg_key != nullptr) out += ',';
+        out += "\"detail\":\"";
+        AppendJsonEscaped(out, event.detail);
+        out += '"';
       }
-      out << "}";
+      out += '}';
     }
-    out << "}";
+    out += '}';
   }
-  out << "],\"displayTimeUnit\":\"ns\"}";
-  return out.str();
+  out += "],\"displayTimeUnit\":\"ns\"}";
+  return out;
 }
 
 void Trace::WriteChromeTrace(const std::string& path) {
@@ -338,31 +268,77 @@ void Trace::WriteChromeTrace(const std::string& path) {
   file << ToChromeJson() << "\n";
 }
 
-void RecordKernelSample(const std::string& op, const char* category,
-                        std::int64_t start_ns, std::int64_t dur_ns) {
-  MetricsRegistry::Global().GetHistogram("kernel." + op).Record(dur_ns);
-  if (Trace::Enabled()) {
-    Trace::RecordComplete(op, category, start_ns, dur_ns, "sampled", 1);
-  }
-}
-
 namespace {
 
-// JANUS_TRACE=<path>: enable tracing for the whole process and write the
-// Chrome trace at exit. Runs at static-initialization time so example and
-// benchmark binaries need no code changes.
-struct TraceEnvInit {
-  TraceEnvInit() {
-    const char* path = std::getenv("JANUS_TRACE");
-    if (path == nullptr || path[0] == '\0') return;
-    GlobalRegistry();  // ensure the (leaked) registry outlives the handler
-    Trace::Enable();
-    static std::string output_path;  // atexit handlers take no arguments
-    output_path = path;
-    std::atexit([] { Trace::WriteChromeTrace(output_path); });
+// The obs environment (trace.h), read once by ObsEnvInit below.
+struct ObsEnv {
+  std::string trace_path;    // JANUS_TRACE
+  std::string ledger_path;   // JANUS_LEDGER
+  std::string profile_path;  // JANUS_PROFILE
+  bool serving = false;      // JANUS_HTTP_PORT started the server
+  long linger_ms = 0;        // JANUS_HTTP_LINGER_MS
+};
+
+// Leaked: read by the exit handler after static destructors may have run.
+ObsEnv& Env() {
+  static ObsEnv* env = new ObsEnv();
+  return *env;
+}
+
+std::string EnvString(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr ? value : "";
+}
+
+// The one exit handler. Its order is fixed here rather than by static-init
+// order across translation units: scrapers get the whole linger window
+// first, then the server stops, then the files are written.
+void ExitHandler() {
+  const ObsEnv& env = Env();
+  if (env.serving) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(env.linger_ms);
+    while (env.linger_ms > 0 && !HttpExportServer::QuitRequested() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    HttpExportServer::Global().Stop();
+  }
+  if (!env.trace_path.empty()) Trace::WriteChromeTrace(env.trace_path);
+  if (!env.ledger_path.empty()) Ledger::Global().WriteJsonl(env.ledger_path);
+  if (!env.profile_path.empty()) WriteFoldedStacks(env.profile_path);
+}
+
+// Applies the obs environment at static-initialization time, so any
+// example or benchmark binary is observable with no code changes.
+struct ObsEnvInit {
+  ObsEnvInit() {
+    ObsEnv& env = Env();
+    env.trace_path = EnvString("JANUS_TRACE");
+    env.ledger_path = EnvString("JANUS_LEDGER");
+    env.profile_path = EnvString("JANUS_PROFILE");
+    if (!env.trace_path.empty()) Trace::Enable();
+    if (!env.ledger_path.empty()) Ledger::Enable();
+    if (!env.profile_path.empty()) EnableProfiling();
+    if (const std::string port = EnvString("JANUS_HTTP_PORT"); !port.empty()) {
+      char* end = nullptr;
+      const long parsed = std::strtol(port.c_str(), &end, 10);
+      if (end == port.c_str() || parsed < 0 || parsed > 65535) {
+        JANUS_LOG(kError) << "http_export: invalid JANUS_HTTP_PORT '" << port
+                          << "'";
+      } else if (HttpExportServer::Global().Start(static_cast<int>(parsed))) {
+        env.serving = true;
+        env.linger_ms =
+            std::strtol(EnvString("JANUS_HTTP_LINGER_MS").c_str(), nullptr, 10);
+      }
+    }
+    if (env.serving || !env.trace_path.empty() || !env.ledger_path.empty() ||
+        !env.profile_path.empty()) {
+      std::atexit(ExitHandler);
+    }
   }
 };
-const TraceEnvInit trace_env_init;
+const ObsEnvInit obs_env_init;
 
 }  // namespace
 }  // namespace obs

@@ -47,11 +47,6 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
   ctx.inputs = inputs;
   ctx.outputs.resize(static_cast<std::size_t>(node.num_outputs()));
   ctx.run = &run;
-  // Sampled per-op kernel timing (every Nth kernel per thread while the
-  // tracer or metrics-only kernel timing is on): one relaxed atomic load
-  // and a branch when observability is off.
-  const bool sampled = obs::ShouldSampleKernel();
-  const std::int64_t start_ns = sampled ? obs::Trace::NowNs() : 0;
   try {
     // Opens the in-place window only for nodes the memory plan marked
     // capable AND whose executor guarantees the inputs vector is the sole
@@ -75,10 +70,6 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
   } catch (const Error& e) {
     throw InvalidArgument(std::string(e.what()) + " [at " +
                           node.DebugString() + "]");
-  }
-  if (sampled) {
-    obs::RecordKernelSample(node.op(), "kernel", start_ns,
-                            obs::Trace::NowNs() - start_ns);
   }
   run.ops_executed.fetch_add(1, std::memory_order_relaxed);
   outputs = std::move(ctx.outputs);

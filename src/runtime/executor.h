@@ -122,19 +122,18 @@ using Bindings = std::map<const Node*, Tensor>;
 // this to run gradient subgraphs without recomputing the forward pass.
 using Precomputed = std::map<const Node*, std::vector<Tensor>>;
 
-// RAII sampled-time recorder for one plan-node execution, shared by both
-// strategies. Destructor-based so every exit path of a node body
-// (precomputed shortcut, source kinds, control-flow `continue`s, kernel
-// dispatch) is covered. Construct with armed = ShouldSampleProfileNode().
+// RAII sampled-time recorder (and, while tracing, trace event) for one
+// plan-node execution, shared by both strategies. Destructor-based so every
+// exit path of a node body (precomputed shortcut, source kinds,
+// control-flow `continue`s, kernel dispatch) is covered. Construct with
+// armed = ShouldSampleProfileNode().
 struct ProfRecord {
   obs::PlanProfile* profile;
   int index;
   std::int64_t start_ns;
   bool armed;
   ~ProfRecord() {
-    if (armed && profile != nullptr) {
-      profile->Record(index, obs::Trace::NowNs() - start_ns);
-    }
+    if (armed && profile != nullptr) profile->RecordSince(index, start_ns);
   }
 };
 

@@ -1,7 +1,8 @@
 // Tests for the live-introspection layer (src/obs): the speculation
 // flight recorder (ring overflow, JSONL schema, threaded publication),
 // the Prometheus text exposition (name sanitation, label escaping,
-// counter + histogram rendering), the introspection hub's source
+// counter + histogram rendering, the profiler-derived janus_kernel_ns
+// family), the introspection hub's source
 // retirement, the HTTP endpoint routing, an end-to-end socket scrape of a
 // live engine, and fallback root-cause attribution naming the exact
 // failing assumption.
@@ -25,6 +26,7 @@
 #include "obs/json_check.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace janus {
 namespace {
@@ -97,7 +99,9 @@ TEST_F(IntrospectionTest, RingOverflowKeepsNewestRecords) {
   ledger.SetCapacityForTesting(8);
   Ledger::Enable();
   for (int i = 0; i < 20; ++i) {
-    ledger.Record(MakeRecord("run", "r" + std::to_string(i)));
+    std::string detail = "r";
+    detail += std::to_string(i);
+    ledger.Record(MakeRecord("run", detail));
   }
   EXPECT_EQ(ledger.TotalRecorded(), 20);
   EXPECT_EQ(ledger.TotalDropped(), 12);
@@ -106,7 +110,9 @@ TEST_F(IntrospectionTest, RingOverflowKeepsNewestRecords) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     // Oldest-first, exactly the last capacity records.
     EXPECT_EQ(records[i].seq, static_cast<std::int64_t>(12 + i));
-    EXPECT_EQ(records[i].detail, "r" + std::to_string(12 + i));
+    std::string detail = "r";
+    detail += std::to_string(12 + i);
+    EXPECT_EQ(records[i].detail, detail);
   }
 }
 
@@ -201,7 +207,9 @@ TEST_F(IntrospectionTest, WriteJsonlProducesValidatableFile) {
   ledger.SetCapacityForTesting(16);
   Ledger::Enable();
   for (int i = 0; i < 5; ++i) {
-    ledger.Record(MakeRecord("generation", "g" + std::to_string(i)));
+    std::string detail = "g";
+    detail += std::to_string(i);
+    ledger.Record(MakeRecord("generation", detail));
   }
   const std::string path =
       ::testing::TempDir() + "/introspection_test_ledger.jsonl";
@@ -284,25 +292,76 @@ TEST_F(IntrospectionTest, RendersHistogramBucketsSumAndCount) {
   IntrospectionHub::Global().UnregisterMetricsSource(&registry);
 }
 
+// A plan profile whose nodes have the given ops (node names = ops).
+std::shared_ptr<obs::PlanProfile> ProfileOfOps(
+    const std::vector<std::string>& ops) {
+  std::vector<obs::ProfileNodeInfo> nodes(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    nodes[i].name = ops[i];
+    nodes[i].op = ops[i];
+  }
+  return std::make_shared<obs::PlanProfile>(std::move(nodes));
+}
+
 TEST_F(IntrospectionTest, KernelTimersCollapseIntoLabeledFamily) {
-  MetricsRegistry registry;
-  registry.GetHistogram("kernel.Add").Record(10);
-  registry.GetHistogram("kernel.MatMul").Record(20);
-  IntrospectionHub::Global().RegisterMetricsSource(&registry);
+  obs::ProfileRegistry::Global().Reset();
+  const auto profile = ProfileOfOps({"Add", "MatMul"});
+  profile->Record(0, 10);
+  profile->Record(1, 20);
+  // Past the profile's saturating top bucket (>= 2^31 ns): no finite `le`
+  // bound holds it, so it may only count under +Inf.
+  profile->Record(1, std::int64_t{1} << 40);
+  obs::ProfileRegistry::Global().Register(profile);
 
   const std::string text = obs::RenderPrometheusText();
   EXPECT_NE(text.find("# TYPE janus_kernel_ns histogram\n"),
             std::string::npos);
-  EXPECT_NE(text.find("janus_kernel_ns_bucket{op=\"Add\","),
+  // 10 ns sits in [8, 16): le="15".
+  EXPECT_NE(text.find("janus_kernel_ns_bucket{op=\"Add\",le=\"15\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("janus_kernel_ns_count{op=\"MatMul\"} 1\n"),
+  EXPECT_NE(text.find("janus_kernel_ns_bucket{op=\"MatMul\",le=\"31\"} 1\n"),
+            std::string::npos);
+  // Only le="31" and le="+Inf": the saturated sample claims no finite
+  // bound.
+  int matmul_buckets = 0;
+  for (std::size_t at = text.find("janus_kernel_ns_bucket{op=\"MatMul\"");
+       at != std::string::npos;
+       at = text.find("janus_kernel_ns_bucket{op=\"MatMul\"", at + 1)) {
+    ++matmul_buckets;
+  }
+  EXPECT_EQ(matmul_buckets, 2);
+  EXPECT_NE(
+      text.find("janus_kernel_ns_bucket{op=\"MatMul\",le=\"+Inf\"} 2\n"),
+      std::string::npos);
+  EXPECT_NE(text.find("janus_kernel_ns_count{op=\"MatMul\"} 2\n"),
             std::string::npos);
   // Not exported as separate families.
   EXPECT_EQ(text.find("janus_kernel_Add"), std::string::npos);
 
   std::string error;
   ASSERT_TRUE(obs::ValidatePrometheusText(text, &error, nullptr)) << error;
-  IntrospectionHub::Global().UnregisterMetricsSource(&registry);
+  obs::ProfileRegistry::Global().Reset();
+}
+
+TEST_F(IntrospectionTest, KernelFamilyStaysMonotonicAcrossProfileDrops) {
+  obs::ProfileRegistry::Global().Reset();
+  const auto profile = ProfileOfOps({"ObsDroppedOp"});
+  for (int i = 0; i < 5; ++i) profile->Record(0, 100);
+  obs::ProfileRegistry::Global().Register(profile);
+  const std::string count_line =
+      "janus_kernel_ns_count{op=\"ObsDroppedOp\"} 5\n";
+  ASSERT_NE(obs::RenderPrometheusText().find(count_line), std::string::npos);
+
+  // Push the profile out of the bounded registry.
+  for (std::size_t i = 0; i <= obs::ProfileRegistry::kMaxProfiles; ++i) {
+    obs::ProfileRegistry::Global().Register(ProfileOfOps({"ObsFillerOp"}));
+  }
+  ASSERT_GT(obs::ProfileRegistry::Global().dropped(), 0u);
+  for (const auto& live : obs::ProfileRegistry::Global().Profiles()) {
+    ASSERT_NE(live, profile);
+  }
+  EXPECT_NE(obs::RenderPrometheusText().find(count_line), std::string::npos);
+  obs::ProfileRegistry::Global().Reset();
 }
 
 TEST_F(IntrospectionTest, PrometheusValidatorRejectsNonFiniteSamples) {
@@ -387,7 +446,9 @@ TEST_F(IntrospectionTest, FlightzServesRecentRecordsWithLimit) {
   ledger.SetCapacityForTesting(16);
   Ledger::Enable();
   for (int i = 0; i < 5; ++i) {
-    ledger.Record(MakeRecord("run", "r" + std::to_string(i)));
+    std::string detail = "r";
+    detail += std::to_string(i);
+    ledger.Record(MakeRecord("run", detail));
   }
   const HttpResponse response = HttpExportServer::HandlePath("/flightz?n=2");
   std::istringstream lines(response.body);

@@ -1,7 +1,8 @@
 // Tests for the observability subsystem (src/obs): span tracer ring
 // buffers and nesting, histogram bucket/percentile math, Chrome-trace JSON
 // schema round trips, threaded metric accumulation, DOT heat annotation,
-// and the end-to-end engine trace including a forced fallback.
+// the per-node sampler as the one per-op timer (trace events, eager
+// dispatch), and the end-to-end engine trace including a forced fallback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +19,9 @@
 #include "graph/dot.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
+#include "runtime/executor.h"
 
 namespace janus {
 namespace {
@@ -35,12 +38,13 @@ class ObsTest : public ::testing::Test {
   void SetUp() override {
     Trace::Disable();
     Trace::Reset();
+    obs::DisableProfiling();
   }
   void TearDown() override {
     Trace::Disable();
     Trace::Reset();
     Trace::SetBufferCapacityForTesting(0);  // restore default
-    obs::SetKernelTimingEnabled(false);
+    obs::DisableProfiling();
   }
 };
 
@@ -56,8 +60,8 @@ TEST_F(ObsTest, DisabledTracerRecordsNoEvents) {
   }
   EXPECT_EQ(Trace::TotalRecorded(), 0);
   EXPECT_TRUE(Trace::Collect().empty());
-  // Kernel sampling is inert too: no tracer, no kernel timing.
-  EXPECT_FALSE(obs::ShouldSampleKernel());
+  // The per-node sampler is inert too: no tracer, no profiler.
+  EXPECT_FALSE(obs::ShouldSampleProfileNode());
 }
 
 TEST_F(ObsTest, ScopeRecordsCompleteEventWithArgs) {
@@ -299,14 +303,21 @@ TEST_F(ObsTest, JsonCheckRejectsMalformedDocuments) {
 // ---- DOT heat annotation ----
 
 TEST_F(ObsTest, DotAnnotatesPerOpTimingFromRegistry) {
-  Histogram& hot =
-      MetricsRegistry::Global().GetHistogram("kernel.ObsHeatHot");
-  Histogram& cold =
-      MetricsRegistry::Global().GetHistogram("kernel.ObsHeatCold");
-  hot.Reset();
-  cold.Reset();
-  for (int i = 0; i < 10; ++i) hot.Record(40000);
-  for (int i = 0; i < 10; ++i) cold.Record(100);
+  // Per-op means are the profiler's samples grouped by op. The sampled
+  // profile's node names are not the graph's, so every annotation below is
+  // the op-average fallback.
+  obs::ProfileRegistry::Global().Reset();
+  std::vector<obs::ProfileNodeInfo> infos(2);
+  infos[0].name = "elsewhere_hot";
+  infos[0].op = "ObsHeatHot";
+  infos[1].name = "elsewhere_cold";
+  infos[1].op = "ObsHeatCold";
+  auto profile = std::make_shared<obs::PlanProfile>(std::move(infos));
+  for (int i = 0; i < 10; ++i) {
+    profile->Record(0, 40000);
+    profile->Record(1, 100);
+  }
+  obs::ProfileRegistry::Global().Register(profile);
 
   Graph g;
   const NodeOutput c = g.Constant(Tensor::Scalar(1.0f));
@@ -325,6 +336,43 @@ TEST_F(ObsTest, DotAnnotatesPerOpTimingFromRegistry) {
   EXPECT_NE(annotated.find("~100ns"), std::string::npos);
   EXPECT_NE(annotated.find("#e34a33"), std::string::npos);
   EXPECT_NE(annotated.find("#fef0d9"), std::string::npos);
+  EXPECT_NE(annotated.find("(op avg)"), std::string::npos);
+  obs::ProfileRegistry::Global().Reset();
+}
+
+// ---- the per-node sampler as the one per-op timer ----
+
+TEST_F(ObsTest, TracedGraphRunEmitsOneKernelEventPerProfileSample) {
+  // Tracing alone arms the profiler's sampler: each sampled plan node is
+  // recorded in the plan's profile and emitted as one "kernel" event.
+  obs::ProfileRegistry::Global().Reset();
+  Graph g;
+  NodeOutput v = g.Constant(Tensor::Full(Shape{8}, 1.0f));
+  for (int i = 0; i < 16; ++i) v = {g.AddNode("Add", {v, v}), 0};
+  FunctionLibrary library;
+  VariableStore variables;
+  Rng rng(1);
+  Executor executor(&library, &variables, nullptr, &rng);
+  const std::vector<NodeOutput> fetches{v};
+  Trace::Enable();
+  // >= 2 node executions per run, and a sampler gap is < 96 executions
+  // (NextSampleGap draws from [32, 96)), so 200 runs sample several nodes.
+  for (int i = 0; i < 200; ++i) executor.Run(g, {}, fetches);
+  Trace::Disable();
+
+  std::uint64_t samples = 0;
+  for (const auto& profile : obs::ProfileRegistry::Global().Profiles()) {
+    for (int i = 0; i < profile->num_nodes(); ++i) {
+      samples += profile->Snapshot(i).count;
+    }
+  }
+  std::uint64_t kernel_events = 0;
+  for (const TraceEvent& event : Trace::Collect()) {
+    if (std::string_view(event.category) == "kernel") ++kernel_events;
+  }
+  EXPECT_GE(samples, 2u);
+  EXPECT_EQ(kernel_events, samples);
+  obs::ProfileRegistry::Global().Reset();
 }
 
 // ---- end-to-end: engine decision loop in a trace file ----
@@ -337,6 +385,9 @@ TEST_F(ObsTest, EngineTraceCapturesDecisionLoopIncludingFallback) {
   minipy::InstallBuiltins(interp);
   EngineOptions options;
   options.trace_path = path;  // Attach() enables, Detach() exports
+  // Graph nodes run on this thread, so the sampler reset below lands the
+  // next sample on a graph node.
+  options.parallel_execution = false;
   JanusEngine engine(&interp, options);
   engine.Attach();
 
@@ -357,6 +408,10 @@ def loss_fn():
 for i in range(8):
     r = float(optimize(loss_fn, 0.0))
 )");
+  // The flipped run starts by executing the cached graph; a zero countdown
+  // samples its first node, so the trace holds a "kernel" event and the
+  // report a per-op line whatever earlier sampling left behind.
+  obs::internal::profile_sample_countdown = 0;
   interp.Run(R"(
 mode = constant([-1.0])
 for i in range(8):
@@ -369,7 +424,7 @@ for i in range(8):
   EXPECT_GE(stats.graph_generations, 1);
 
   // The text report carries the decision-loop counters, phase histograms,
-  // sampled kernel timers, and allocator traffic.
+  // sampled per-op node time, and allocator traffic.
   const std::string report = engine.StatsReport();
   EXPECT_NE(report.find("engine.graph_executions"), std::string::npos);
   EXPECT_NE(report.find("engine.assumption_failures"), std::string::npos);
@@ -403,22 +458,29 @@ for i in range(8):
 }
 
 TEST_F(ObsTest, KernelTimingWithoutTracerFillsRegistryOnly) {
-  Histogram& timer = MetricsRegistry::Global().GetHistogram("kernel.Add");
-  const std::int64_t count_before = timer.Count();
-  obs::SetKernelTimingEnabled(true);
+  // Profiling without the tracer: eager dispatch samples into the
+  // "<imperative>" profile, which feeds the per-op timings, and nothing
+  // reaches the trace ring buffers.
+  const auto add_samples = [] {
+    const auto ops = obs::ProfileRegistry::Global().OpTimings();
+    const auto it = ops.find("Add");
+    return it == ops.end() ? std::uint64_t{0} : it->second.count;
+  };
+  const std::uint64_t count_before = add_samples();
+  obs::EnableProfiling();
   ASSERT_FALSE(Trace::Enabled());
   VariableStore variables;
   Rng rng(3);
   minipy::EagerContext eager(&variables, &rng);
   const Tensor a = Tensor::Full(Shape{4, 4}, 1.0f);
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 200; ++i) {
     eager.Execute("Add", {a, a});
   }
-  obs::SetKernelTimingEnabled(false);
-  // 64 ops sampled at a jittered ~16 stride: the first op samples, and
-  // every gap is < 24 (NextSampleGap draws from [8, 24)), so at least 3
-  // new samples land even in the worst draw.
-  EXPECT_GE(timer.Count() - count_before, 3);
+  obs::DisableProfiling();
+  // 200 ops at a jittered ~64 stride: every gap is < 96 (NextSampleGap
+  // draws from [32, 96)), so at least 2 samples land even in the worst
+  // draw.
+  EXPECT_GE(add_samples() - count_before, 2u);
   // No tracer: nothing hit the ring buffers.
   EXPECT_EQ(Trace::TotalRecorded(), 0);
 }

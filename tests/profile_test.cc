@@ -21,6 +21,7 @@
 
 #include "core/engine.h"
 #include "frontend/builtins.h"
+#include "frontend/eager.h"
 #include "models/zoo.h"
 #include "obs/http_export.h"
 #include "obs/json_check.h"
@@ -174,6 +175,31 @@ TEST_F(ProfileTest, DisabledProfilingRecordsNoSamples) {
   session.interp.Run(kTrainingScript);
   for (const ProfileSample& sample : obs::CollectProfileSamples()) {
     EXPECT_EQ(sample.count, 0u) << sample.node;
+  }
+}
+
+TEST_F(ProfileTest, EagerOpsProfileAsImperativeUnit) {
+  obs::EnableProfiling();
+  VariableStore variables;
+  Rng rng(3);
+  minipy::EagerContext eager(&variables, &rng);
+  const Tensor a = Tensor::Full(Shape{4, 4}, 1.0f);
+  // A sampler gap is < 96 ops (NextSampleGap draws from [32, 96)).
+  for (int i = 0; i < 200; ++i) eager.Execute("Add", {a, a});
+  obs::DisableProfiling();
+
+  const std::string text = HttpExportServer::HandlePath("/profilez").body;
+  EXPECT_NE(text.find("<imperative>"), std::string::npos) << text;
+  const std::string json =
+      HttpExportServer::HandlePath("/profilez?format=json").body;
+  std::string error;
+  obs::ProfileJsonSummary summary;
+  ASSERT_TRUE(obs::ValidateProfileJson(json, &error, &summary)) << error;
+  EXPECT_NE(summary.units.count("<imperative>"), 0u);
+  // The imperative profile is not a plan registration: the bound never
+  // drops it.
+  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
+    EXPECT_NE(profile->unit(), "<imperative>");
   }
 }
 
