@@ -184,7 +184,7 @@ void BM_FusedChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedChain)->Arg(0)->Arg(1);
 
-void BM_EnginePlanCaching(benchmark::State& state) {
+void EnginePlanCaching(benchmark::State& state, bool parallel) {
   // Steady-state engine loop on a cached graph; counters surface the
   // compile-once/run-many split (plan_builds stays at its post-generation
   // value while plan_cache_hits grows with every run).
@@ -192,7 +192,9 @@ void BM_EnginePlanCaching(benchmark::State& state) {
   Rng rng(1);
   minipy::Interpreter interp(&variables, &rng);
   minipy::InstallBuiltins(interp);
-  JanusEngine engine(&interp, EngineOptions{});
+  EngineOptions options;
+  options.parallel_execution = parallel;
+  JanusEngine engine(&interp, options);
   engine.Attach();
   interp.Run(R"(
 w = variable('w', constant([[0.5]]))
@@ -210,7 +212,18 @@ for i in range(6):
   state.counters["plan_cache_hits"] =
       static_cast<double>(engine.stats().plan_cache_hits);
 }
+
+// Default engine (+PARL on): the calibrated schedule keeps this 12-node
+// plan off the thread pool, so it should match its sequential twin below.
+void BM_EnginePlanCaching(benchmark::State& state) {
+  EnginePlanCaching(state, /*parallel=*/true);
+}
 BENCHMARK(BM_EnginePlanCaching);
+
+void BM_EnginePlanCachingSequential(benchmark::State& state) {
+  EnginePlanCaching(state, /*parallel=*/false);
+}
+BENCHMARK(BM_EnginePlanCachingSequential);
 
 void BM_InterpreterStatements(benchmark::State& state) {
   VariableStore variables;

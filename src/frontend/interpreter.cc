@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <unordered_map>
 
 #include "frontend/parser.h"
 #include "graph/source_site.h"
@@ -46,6 +47,18 @@ bool IsTensorish(const Value& v) {
 struct Interpreter::Impl {
   Interpreter* self = nullptr;
   std::vector<Module> modules;  // owns ASTs for the lifetime of the session
+  // ASTs of Run/EvaluateExpression sources, parsed once per distinct
+  // source: a session that runs one step's source every step keeps one AST
+  // instead of one per call. Node-based, so AST addresses stay stable.
+  std::unordered_map<std::string, Module> parsed_sources;
+
+  const Module& ParsedSource(const std::string& source) {
+    auto it = parsed_sources.find(source);
+    if (it == parsed_sources.end()) {
+      it = parsed_sources.emplace(source, Parse(source)).first;
+    }
+    return it->second;
+  }
   std::shared_ptr<Environment> globals = std::make_shared<Environment>();
 
   // Qualified names of the user functions currently on the call stack
@@ -590,11 +603,17 @@ Interpreter::~Interpreter() {
   }
 }
 
-void Interpreter::Run(const std::string& source) { Run(Parse(source)); }
+void Interpreter::Run(const std::string& source) {
+  impl_->ExecBlock(impl_->ParsedSource(source).body, impl_->globals);
+}
 
 void Interpreter::Run(Module module) {
   impl_->modules.push_back(std::move(module));
   impl_->ExecBlock(impl_->modules.back().body, impl_->globals);
+}
+
+std::size_t Interpreter::retained_modules() const {
+  return impl_->modules.size() + impl_->parsed_sources.size();
 }
 
 Value Interpreter::GetGlobal(const std::string& name) const {
@@ -702,13 +721,11 @@ Value Interpreter::CallValue(const Value& callee, std::vector<Value> args,
 }
 
 Value Interpreter::EvaluateExpression(const std::string& expression_source) {
-  Module module = Parse(expression_source + "\n");
+  const Module& module = impl_->ParsedSource(expression_source + "\n");
   if (module.body.size() != 1 || module.body[0]->kind != StmtKind::kExpr) {
     throw InvalidArgument("EvaluateExpression expects a single expression");
   }
-  impl_->modules.push_back(std::move(module));
-  return impl_->Eval(impl_->modules.back().body[0]->value.get(),
-                     impl_->globals);
+  return impl_->Eval(module.body[0]->value.get(), impl_->globals);
 }
 
 Value Interpreter::HeapLookup(std::int64_t heap_id) const {

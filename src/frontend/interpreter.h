@@ -61,7 +61,8 @@ class Interpreter {
   Interpreter(const Interpreter&) = delete;
   Interpreter& operator=(const Interpreter&) = delete;
 
-  // Parses and executes a program in the global scope.
+  // Parses and executes a program in the global scope. Each distinct source
+  // is parsed once per session and its AST reused by later calls.
   void Run(const std::string& source);
   // Executes an already parsed module (takes ownership; AST nodes must stay
   // alive for functions defined in it).
@@ -106,6 +107,10 @@ class Interpreter {
   // Registers an additional builtin (used by the model zoo to expose
   // simulated environments etc.).
   void RegisterBuiltin(const std::string& name, BuiltinFunction::Fn fn);
+
+  // ASTs the session keeps alive: one per distinct Run/EvaluateExpression
+  // source plus one per Run(Module).
+  std::size_t retained_modules() const;
 
   // Total interpreter statements + eager ops executed (overhead accounting).
   std::int64_t statements_executed() const { return statements_executed_; }

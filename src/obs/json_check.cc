@@ -410,6 +410,49 @@ class Parser {
     }
   }
 
+  // A unit's "plans" array: one DAG schedule per registered plan.
+  void ParsePlanScheduleArray(ProfileJsonSummary* summary) {
+    Expect('[');
+    SkipWhitespace();
+    if (Peek() == ']') {
+      ++pos_;
+      return;
+    }
+    while (true) {
+      SkipWhitespace();
+      if (Peek() != '{') Fail("plans entry is not an object");
+      std::map<std::string, std::string> strings;
+      std::set<std::string> numbers;
+      ParseTypedObject(&strings, &numbers);
+      for (const char* key :
+           {"nodes", "work_ns", "critical_path_ns", "offloaded"}) {
+        if (numbers.find(key) == numbers.end()) {
+          Fail(std::string("plans entry missing numeric field \"") + key +
+               "\"");
+        }
+      }
+      const auto mode = strings.find("schedule");
+      if (mode == strings.end()) {
+        Fail("plans entry missing string field \"schedule\"");
+      }
+      if (mode->second != "uncalibrated" && mode->second != "sequential" &&
+          mode->second != "parallel") {
+        Fail("plans entry has unknown schedule \"" + mode->second + "\"");
+      }
+      if (summary != nullptr) {
+        ++summary->num_plans;
+        if (mode->second == "parallel") ++summary->num_parallel_plans;
+      }
+      SkipWhitespace();
+      const char c = Next();
+      if (c == ']') return;
+      if (c != ',') {
+        --pos_;
+        Fail("expected ',' or ']' in plans");
+      }
+    }
+  }
+
   void ParseProfileUnitArray(ProfileJsonSummary* summary) {
     Expect('[');
     SkipWhitespace();
@@ -425,6 +468,7 @@ class Parser {
       std::set<std::string> numbers;
       bool saw_lines = false;
       bool saw_nodes = false;
+      bool saw_plans = false;
       SkipWhitespace();
       if (Peek() == '}') {
         ++pos_;
@@ -441,6 +485,9 @@ class Parser {
           const int n = ParseProfileRecordArray(
               {"function"}, {"line", "execution_ns", "count"}, "lines");
           if (summary != nullptr) summary->num_lines += n;
+        } else if (key == "plans") {
+          saw_plans = true;
+          ParsePlanScheduleArray(summary);
         } else if (key == "top_nodes") {
           saw_nodes = true;
           const int n = ParseProfileRecordArray(
@@ -478,6 +525,7 @@ class Parser {
       }
       if (!saw_lines) Fail("unit entry missing \"lines\" array");
       if (!saw_nodes) Fail("unit entry missing \"top_nodes\" array");
+      if (!saw_plans) Fail("unit entry missing \"plans\" array");
       if (summary != nullptr) {
         ++summary->num_units;
         summary->units.insert(strings["unit"]);

@@ -60,6 +60,8 @@ struct ProfileJsonSummary {
   int num_units = 0;
   int num_lines = 0;   // per-source-line rollup entries across all units
   int num_nodes = 0;   // top_nodes entries across all units
+  int num_plans = 0;   // plans entries across all units
+  int num_parallel_plans = 0;  // ... whose schedule is "parallel"
   std::set<std::string> units;
 };
 
@@ -67,8 +69,10 @@ struct ProfileJsonSummary {
 // top-level object with boolean "enabled", numeric "sample_stride", and a
 // "units" array whose entries carry string unit/variant, numeric
 // level/runs/generation_ns/validation_ns/execution_ns, a "lines" array
-// ({function, line, execution_ns, count}), and a "top_nodes" array
-// ({node, op, function, line, count, total_ns, max_ns}). On success fills
+// ({function, line, execution_ns, count}), a "top_nodes" array
+// ({node, op, function, line, count, total_ns, max_ns}), and a "plans"
+// array ({nodes, schedule, work_ns, critical_path_ns, offloaded}, schedule
+// one of "uncalibrated", "sequential", "parallel"). On success fills
 // *summary when non-null.
 bool ValidateProfileJson(std::string_view json, std::string* error,
                          ProfileJsonSummary* summary = nullptr);

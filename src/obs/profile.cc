@@ -76,6 +76,28 @@ void PlanProfile::SetKey(std::string unit, std::string variant, int level) {
   level_ = level;
 }
 
+void PlanProfile::SetSchedule(bool parallel, std::int64_t work_ns,
+                              std::int64_t critical_path_ns, int offloaded) {
+  schedule_work_ns_.store(work_ns, std::memory_order_relaxed);
+  schedule_critical_path_ns_.store(critical_path_ns,
+                                   std::memory_order_relaxed);
+  schedule_offloaded_.store(offloaded, std::memory_order_relaxed);
+  schedule_mode_.store(parallel ? 2 : 1, std::memory_order_release);
+}
+
+PlanProfile::ScheduleSummary PlanProfile::schedule() const {
+  ScheduleSummary summary;
+  const int mode = schedule_mode_.load(std::memory_order_acquire);
+  if (mode == 0) return summary;
+  summary.calibrated = true;
+  summary.parallel = mode == 2;
+  summary.work_ns = schedule_work_ns_.load(std::memory_order_relaxed);
+  summary.critical_path_ns =
+      schedule_critical_path_ns_.load(std::memory_order_relaxed);
+  summary.offloaded = schedule_offloaded_.load(std::memory_order_relaxed);
+  return summary;
+}
+
 PlanProfile::NodeSnapshot PlanProfile::Snapshot(int index) const {
   NodeSnapshot snap;
   if (index < 0 || index >= num_nodes()) return snap;
@@ -275,6 +297,11 @@ std::vector<ProfileSample> CollectProfileSamples() {
   return samples;
 }
 
+const char* ProfilePlanSchedule::mode() const {
+  if (!schedule.calibrated) return "uncalibrated";
+  return schedule.parallel ? "parallel" : "sequential";
+}
+
 std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
   std::map<UnitKey, ProfileUnitTotals> by_key;
   for (const auto& profile : ProfileRegistry::Global().Exported()) {
@@ -291,6 +318,11 @@ std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
       totals.execution_ns +=
           profile->Snapshot(i).total_ns * kProfileSampleEvery;
     }
+  }
+  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
+    const UnitKey key{profile->unit(), profile->variant(),
+                      profile->despecialization_level()};
+    by_key[key].plans.push_back({profile->num_nodes(), profile->schedule()});
   }
   std::vector<ProfileUnitTotals> out;
   out.reserve(by_key.size());
@@ -368,6 +400,12 @@ std::string RenderProfileText() {
         << " generation=" << unit.generation_ns
         << "ns validation=" << unit.validation_ns
         << "ns execution~=" << unit.execution_ns << "ns\n";
+    for (const ProfilePlanSchedule& plan : unit.plans) {
+      out << "  plan nodes=" << plan.nodes << " schedule=" << plan.mode()
+          << " work=" << plan.schedule.work_ns
+          << "ns critical_path=" << plan.schedule.critical_path_ns
+          << "ns offloaded=" << plan.schedule.offloaded << "\n";
+    }
   }
 
   // Rollup by source line.
@@ -442,7 +480,16 @@ std::string RenderProfileJson() {
     out << "\",\"level\":" << unit.level << ",\"runs\":" << unit.runs
         << ",\"generation_ns\":" << unit.generation_ns
         << ",\"validation_ns\":" << unit.validation_ns
-        << ",\"execution_ns\":" << unit.execution_ns;
+        << ",\"execution_ns\":" << unit.execution_ns << ",\"plans\":[";
+    for (std::size_t i = 0; i < unit.plans.size(); ++i) {
+      const ProfilePlanSchedule& plan = unit.plans[i];
+      out << (i == 0 ? "" : ",") << "{\"nodes\":" << plan.nodes
+          << ",\"schedule\":\"" << plan.mode()
+          << "\",\"work_ns\":" << plan.schedule.work_ns
+          << ",\"critical_path_ns\":" << plan.schedule.critical_path_ns
+          << ",\"offloaded\":" << plan.schedule.offloaded << "}";
+    }
+    out << "]";
 
     // Per-line rollup and top nodes within this unit key.
     struct LineAcc {

@@ -24,7 +24,7 @@
 // Exports:
 //  * /profilez on the introspection HTTP server — human text and
 //    ?format=json (top nodes, per-source-line rollup, per-unit
-//    generation/validation/execution split);
+//    generation/validation/execution split, and each plan's DAG schedule);
 //  * /metrics janus_kernel_ns{op} — OpTimings() as Prometheus histograms;
 //  * /pprof/profile — gzipped pprof profile.proto whose sample stacks are
 //    imperative function -> statement -> op (see obs/pprof_encode.h);
@@ -124,6 +124,19 @@ class PlanProfile {
   }
   std::uint64_t runs() const { return runs_.load(std::memory_order_relaxed); }
 
+  // The plan's DAG schedule (runtime/plan.h DagSchedule), published once
+  // when a warm run calibrates it; exported by /profilez.
+  struct ScheduleSummary {
+    bool calibrated = false;
+    bool parallel = false;
+    std::int64_t work_ns = 0;
+    std::int64_t critical_path_ns = 0;
+    int offloaded = 0;
+  };
+  void SetSchedule(bool parallel, std::int64_t work_ns,
+                   std::int64_t critical_path_ns, int offloaded);
+  ScheduleSummary schedule() const;
+
   struct NodeSnapshot {
     std::uint64_t count = 0;
     std::uint64_t total_ns = 0;
@@ -149,6 +162,12 @@ class PlanProfile {
   std::atomic<std::int64_t> generation_ns_{0};
   std::atomic<std::int64_t> validation_ns_{0};
   std::atomic<std::uint64_t> runs_{0};
+  // 0 = uncalibrated, 1 = sequential, 2 = parallel; stored last (release)
+  // so a reader that sees it set also sees the three fields below.
+  std::atomic<int> schedule_mode_{0};
+  std::atomic<std::int64_t> schedule_work_ns_{0};
+  std::atomic<std::int64_t> schedule_critical_path_ns_{0};
+  std::atomic<int> schedule_offloaded_{0};
 };
 
 // Process-global set of live PlanProfiles. Plans register at build and
@@ -267,6 +286,15 @@ struct ProfileSample {
   std::uint64_t max_ns = 0;
 };
 
+// One registered plan's DAG schedule, as /profilez exports it.
+struct ProfilePlanSchedule {
+  int nodes = 0;
+  PlanProfile::ScheduleSummary schedule;
+  // "uncalibrated" (no warm parallel-mode run yet), "sequential" or
+  // "parallel".
+  const char* mode() const;
+};
+
 struct ProfileUnitTotals {
   std::string unit;
   std::string variant;
@@ -275,6 +303,7 @@ struct ProfileUnitTotals {
   std::int64_t validation_ns = 0;
   std::uint64_t execution_ns = 0;  // sampled-and-scaled node time
   std::uint64_t runs = 0;
+  std::vector<ProfilePlanSchedule> plans;  // the unit's registered plans
 };
 
 std::vector<ProfileSample> CollectProfileSamples();

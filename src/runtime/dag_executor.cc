@@ -1,7 +1,20 @@
-// DAG strategy: executes a precompiled ExecutionPlan over dependency
-// countdown, sequentially or fanned out to a thread pool. All scheduling
-// data (dense indices, pending counts, out-edges, resolved kernels) comes
-// from the plan; the only per-run state is the countdown/output array.
+// DAG strategy: executes a precompiled ExecutionPlan, sequentially or on a
+// thread pool. All scheduling data (dense indices, pending counts,
+// out-edges, resolved kernels) comes from the plan; the only per-run state
+// is the per-node countdown/output array.
+//
+// Sequential runs walk the dense node array, which is topological. Runs
+// that asked for +PARL consult the plan's DagSchedule (runtime/plan.h),
+// calibrated once from one timed warm run: plans whose offloadable work
+// cannot pay for its pool handoffs stay sequential. The parallel path counts
+// dependencies down with atomics; a node that becomes ready runs inline on
+// the thread that readied it unless its offload bit sends it to the pool,
+// and the caller runs ready work itself, blocking only on the count of
+// in-flight pool tasks.
+//
+// Failures are attributed deterministically on both paths: a node whose
+// inputs were never produced does not run, and the run rethrows the failure
+// of the lowest plan index — the first failure of the sequential walk.
 //
 // Buffer liveness follows the plan's MemoryPlan: every data read of a
 // producer's outputs counts its `reads_remaining` down, and the read that
@@ -10,11 +23,8 @@
 // makes the consuming kernel's `inputs` vector the sole holder of a dying
 // buffer, enabling in-place output reuse for plan-marked elementwise nodes.
 #include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <climits>
 #include <exception>
-#include <functional>
-#include <mutex>
 
 #include "common/logging.h"
 #include "obs/profile.h"
@@ -26,49 +36,99 @@ namespace internal {
 namespace {
 
 struct NodeState {
-  int pending = 0;
+  std::atomic<int> pending{0};
   std::atomic<int> reads_remaining{0};
+  // Set by a producer that failed or was skipped, before it counts this
+  // node's pending edge off; the node is then skipped in turn.
+  std::atomic<bool> poisoned{false};
   std::vector<Tensor> outputs;
+  std::exception_ptr error;  // set iff this node threw (parallel path)
 };
 
-}  // namespace
-
-std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
-                               const Bindings& bindings, bool parallel,
-                               const Precomputed* precomputed) {
-  const std::vector<ExecutionPlan::PlanNode>& nodes = plan.nodes();
-  const MemoryPlan& memory = plan.memory();
-  std::vector<NodeState> states(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    states[i].pending = nodes[i].initial_pending;
-    states[i].reads_remaining.store(memory.nodes[i].output_reads,
-                                    std::memory_order_relaxed);
+class DagRun {
+ public:
+  DagRun(RunContext& run, const ExecutionPlan& plan, const Bindings& bindings,
+         const Precomputed* precomputed)
+      : run_(run),
+        plan_(plan),
+        nodes_(plan.nodes()),
+        memory_(plan.memory()),
+        bindings_(bindings),
+        precomputed_(precomputed),
+        states_(nodes_.size()) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      states_[i].pending.store(nodes_[i].initial_pending,
+                               std::memory_order_relaxed);
+      states_[i].reads_remaining.store(memory_.nodes[i].output_reads,
+                                       std::memory_order_relaxed);
+    }
   }
 
-  const auto release_outputs = [&](NodeState& state) {
-    run.buffers_released.fetch_add(
-        static_cast<std::int64_t>(state.outputs.size()),
-        std::memory_order_relaxed);
-    state.outputs.clear();
-  };
+  // Runs every node in plan order; the first failure propagates. When
+  // `cost_ns` is non-null each node's wall time is stored there.
+  void RunSequential(std::int64_t* cost_ns) {
+    std::int64_t last_ns = cost_ns != nullptr ? obs::Trace::NowNs() : 0;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      RunNode(static_cast<int>(i));
+      if (cost_ns != nullptr) {
+        const std::int64_t now_ns = obs::Trace::NowNs();
+        cost_ns[i] = now_ns - last_ns;
+        last_ns = now_ns;
+      }
+    }
+  }
 
-  obs::PlanProfile* const profile = plan.profile();
+  void RunParallel(const DagSchedule& schedule) {
+    JANUS_EXPECTS(run_.pool != nullptr);
+    offload_ = schedule.offload.data();
+    std::vector<int> ready;
+    int keep = -1;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].initial_pending == 0) {
+        Ready(static_cast<int>(i), ready, keep);
+      }
+    }
+    if (keep >= 0) Settle(keep, ready);
+    Drain(ready);
+    // Everything left runs on the pool; each task's tail counts itself off.
+    for (int n = in_flight_.load(std::memory_order_acquire); n != 0;
+         n = in_flight_.load(std::memory_order_acquire)) {
+      in_flight_.wait(n, std::memory_order_acquire);
+    }
+    const int failed = first_failure_.load(std::memory_order_relaxed);
+    if (failed != INT_MAX) {
+      std::rethrow_exception(states_[static_cast<std::size_t>(failed)].error);
+    }
+  }
 
-  const auto run_node = [&](int index) {
+  std::vector<Tensor> Fetch() const {
+    std::vector<Tensor> results;
+    results.reserve(plan_.fetch_slots().size());
+    for (const ExecutionPlan::Input& fetch : plan_.fetch_slots()) {
+      const NodeState& state = states_[static_cast<std::size_t>(fetch.producer)];
+      results.push_back(
+          state.outputs.at(static_cast<std::size_t>(fetch.slot)));
+    }
+    return results;
+  }
+
+ private:
+  // Gathers the node's inputs, dispatches it and applies the liveness plan.
+  void RunNode(int index) {
     // Source-attributed profiler: sampled per-node wall time (disabled
     // path is one relaxed load inside ShouldSampleProfileNode).
     const bool prof_sampled = obs::ShouldSampleProfileNode();
-    const ProfRecord prof_record{profile, index,
+    const ProfRecord prof_record{plan_.profile(), index,
                                  prof_sampled ? obs::Trace::NowNs() : 0,
                                  prof_sampled};
     const ExecutionPlan::PlanNode& entry =
-        nodes[static_cast<std::size_t>(index)];
+        nodes_[static_cast<std::size_t>(index)];
     const MemoryPlan::NodeInfo& minfo =
-        memory.nodes[static_cast<std::size_t>(index)];
-    auto& state = states[static_cast<std::size_t>(index)];
-    if (precomputed != nullptr) {
-      const auto it = precomputed->find(entry.node);
-      if (it != precomputed->end()) {
+        memory_.nodes[static_cast<std::size_t>(index)];
+    NodeState& state = states_[static_cast<std::size_t>(index)];
+    if (precomputed_ != nullptr) {
+      const auto it = precomputed_->find(entry.node);
+      if (it != precomputed_->end()) {
         // Precomputed nodes skip reading their inputs, so their producers'
         // read countdowns never reach zero: liveness release degrades to
         // end-of-run teardown for that subgraph, never to a premature drop.
@@ -83,134 +143,162 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
       case ExecutionPlan::OpKind::kPlaceholder:
       case ExecutionPlan::OpKind::kParam:
         state.outputs.assign(
-            1, ResolveSource(run, entry.kind, *entry.node, bindings));
+            1, ResolveSource(run_, entry.kind, *entry.node, bindings_));
         return;
       default:
         break;
     }
     const std::span<const ExecutionPlan::Input> entry_inputs =
-        plan.inputs(entry);
+        plan_.inputs(entry);
     std::vector<Tensor> inputs;
     inputs.reserve(entry_inputs.size());
     for (const ExecutionPlan::Input& input : entry_inputs) {
-      const auto& producer = states[static_cast<std::size_t>(input.producer)];
+      const NodeState& producer =
+          states_[static_cast<std::size_t>(input.producer)];
       inputs.push_back(
           producer.outputs.at(static_cast<std::size_t>(input.slot)));
     }
     // This node's reads are done (copied above): count them off each
     // producer and drop producer-held references when the last counted read
     // completes. The acq_rel countdown orders every consumer's copy before
-    // the clearing thread's release, so this is safe under the parallel
-    // scheduler too.
+    // the clearing thread's release, so this is safe on the pool too.
     for (const ExecutionPlan::Input& input : entry_inputs) {
-      auto& producer = states[static_cast<std::size_t>(input.producer)];
+      NodeState& producer = states_[static_cast<std::size_t>(input.producer)];
       if (producer.reads_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
               1 &&
-          !memory.nodes[static_cast<std::size_t>(input.producer)]
+          !memory_.nodes[static_cast<std::size_t>(input.producer)]
                .fetch_protected) {
-        release_outputs(producer);
+        ReleaseOutputs(producer);
       }
     }
     if (entry.kind == ExecutionPlan::OpKind::kFusedRegion) {
       // Note the precomputed check above keys on the region's ROOT node;
       // interior members recorded on an eager tape are honoured inside
       // ExecuteFusedRegion, which falls back to per-member dispatch.
-      ExecuteFusedRegion(run, *entry.fused, inputs, state.outputs,
+      ExecuteFusedRegion(run_, *entry.fused, inputs, state.outputs,
                          /*allow_in_place=*/minfo.in_place_capable,
-                         precomputed);
+                         precomputed_);
     } else {
-      ExecuteKernel(run, *entry.node, *entry.kernel, inputs, state.outputs,
+      ExecuteKernel(run_, *entry.node, *entry.kernel, inputs, state.outputs,
                     /*allow_in_place=*/minfo.in_place_capable);
     }
     // Outputs nothing reads (control-edge-anchored side effects) die at
     // birth.
     if (minfo.output_reads == 0 && !minfo.fetch_protected &&
         !state.outputs.empty()) {
-      release_outputs(state);
+      ReleaseOutputs(state);
     }
-  };
+  }
 
-  if (!parallel) {
-    // Sequential: simple worklist in dependency order.
-    std::deque<int> ready;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (states[i].pending == 0) ready.push_back(static_cast<int>(i));
+  void ReleaseOutputs(NodeState& state) {
+    run_.buffers_released.fetch_add(
+        static_cast<std::int64_t>(state.outputs.size()),
+        std::memory_order_relaxed);
+    state.outputs.clear();
+  }
+
+  // A node whose pending count reached zero on this thread: cheap nodes go
+  // on this thread's stack; of the offload-bit nodes, all but the latest go
+  // to the pool and the latest waits in `keep` for Settle.
+  void Ready(int index, std::vector<int>& ready, int& keep) {
+    if (offload_[static_cast<std::size_t>(index)] == 0) {
+      ready.push_back(index);
+      return;
     }
-    std::size_t executed = 0;
+    if (keep >= 0) Offload(keep);
+    keep = index;
+  }
+
+  // The held-back offload node runs inline if this thread has nothing else
+  // to do, and on the pool otherwise.
+  void Settle(int keep, std::vector<int>& ready) {
+    if (ready.empty()) {
+      ready.push_back(keep);
+    } else {
+      Offload(keep);
+    }
+  }
+
+  void Offload(int index) {
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    run_.nodes_offloaded.fetch_add(1, std::memory_order_relaxed);
+    run_.pool->Schedule([this, index] {
+      std::vector<int> ready{index};
+      Drain(ready);
+      // The count-down-then-notify of std::latch: the caller may return as
+      // soon as it sees zero, and notify_all only passes the address to
+      // the futex wake, never dereferencing it.
+      std::atomic<int>& in_flight = in_flight_;
+      if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        in_flight.notify_all();
+      }
+    });
+  }
+
+  // Runs the stack's nodes and every node they ready on this thread.
+  void Drain(std::vector<int>& ready) {
     while (!ready.empty()) {
-      const int index = ready.front();
-      ready.pop_front();
-      run_node(index);
-      ++executed;
-      for (const ExecutionPlan::OutEdge& edge :
-           plan.out_edges(nodes[static_cast<std::size_t>(index)])) {
-        if (--states[static_cast<std::size_t>(edge.consumer)].pending == 0) {
-          ready.push_back(edge.consumer);
-        }
-      }
-    }
-    if (executed != nodes.size()) {
-      throw InternalError("graph contains a cycle (DAG executor)");
-    }
-  } else {
-    JANUS_EXPECTS(run.pool != nullptr);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining = nodes.size();
-    std::exception_ptr first_error;
-
-    // Forward declaration via std::function for the recursive completion
-    // chain: finishing a node may schedule its consumers.
-    std::function<void(int)> dispatch = [&](int index) {
-      try {
-        run_node(index);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      std::vector<int> newly_ready;
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        for (const ExecutionPlan::OutEdge& edge :
-             plan.out_edges(nodes[static_cast<std::size_t>(index)])) {
-          if (--states[static_cast<std::size_t>(edge.consumer)].pending ==
-              0) {
-            newly_ready.push_back(edge.consumer);
+      const int index = ready.back();
+      ready.pop_back();
+      NodeState& state = states_[static_cast<std::size_t>(index)];
+      bool produced = false;
+      if (!state.poisoned.load(std::memory_order_relaxed)) {
+        try {
+          RunNode(index);
+          produced = true;
+        } catch (...) {
+          state.error = std::current_exception();
+          int lowest = first_failure_.load(std::memory_order_relaxed);
+          while (index < lowest &&
+                 !first_failure_.compare_exchange_weak(
+                     lowest, index, std::memory_order_relaxed)) {
           }
         }
-        --remaining;
-        if (remaining == 0) cv.notify_all();
       }
-      // Even after an error we keep draining dependencies so `remaining`
-      // reaches zero; erroring nodes simply produce empty outputs that no
-      // one will read (the first error is rethrown at the end).
-      for (std::size_t i = 0; i + 1 < newly_ready.size(); ++i) {
-        run.pool->Schedule([&dispatch, n = newly_ready[i]] { dispatch(n); });
+      int keep = -1;
+      for (const ExecutionPlan::OutEdge& edge :
+           plan_.out_edges(nodes_[static_cast<std::size_t>(index)])) {
+        NodeState& consumer = states_[static_cast<std::size_t>(edge.consumer)];
+        if (!produced) consumer.poisoned.store(true, std::memory_order_relaxed);
+        if (consumer.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          Ready(edge.consumer, ready, keep);
+        }
       }
-      if (!newly_ready.empty()) dispatch(newly_ready.back());
-    };
-
-    std::vector<int> roots;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (states[i].pending == 0) roots.push_back(static_cast<int>(i));
+      if (keep >= 0) Settle(keep, ready);
     }
-    for (std::size_t i = 0; i + 1 < roots.size(); ++i) {
-      run.pool->Schedule([&dispatch, n = roots[i]] { dispatch(n); });
-    }
-    if (!roots.empty()) dispatch(roots.back());
-
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining == 0; });
-    if (first_error) std::rethrow_exception(first_error);
   }
 
-  std::vector<Tensor> results;
-  results.reserve(plan.fetch_slots().size());
-  for (const ExecutionPlan::Input& fetch : plan.fetch_slots()) {
-    const auto& state = states[static_cast<std::size_t>(fetch.producer)];
-    results.push_back(state.outputs.at(static_cast<std::size_t>(fetch.slot)));
+  RunContext& run_;
+  const ExecutionPlan& plan_;
+  const std::vector<ExecutionPlan::PlanNode>& nodes_;
+  const MemoryPlan& memory_;
+  const Bindings& bindings_;
+  const Precomputed* const precomputed_;
+  std::vector<NodeState> states_;
+  const std::uint8_t* offload_ = nullptr;  // the schedule's offload bits
+  std::atomic<int> in_flight_{0};          // pool tasks not yet finished
+  std::atomic<int> first_failure_{INT_MAX};
+};
+
+}  // namespace
+
+std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
+                               const Bindings& bindings, bool parallel,
+                               const Precomputed* precomputed) {
+  DagRun dag(run, plan, bindings, precomputed);
+  const DagSchedule* schedule = parallel ? plan.schedule() : nullptr;
+  if (schedule != nullptr && schedule->parallel) {
+    dag.RunParallel(*schedule);
+  } else if (parallel && schedule == nullptr && plan.ClaimCalibration()) {
+    std::vector<std::int64_t> cost_ns(plan.nodes().size(), 0);
+    dag.RunSequential(cost_ns.data());
+    plan.PublishSchedule(ComputeDagSchedule(plan, cost_ns));
+  } else {
+    // Includes a plan's first +PARL run: untimed, since it pays one-time
+    // costs, and sequential, since most plans never pay for the pool.
+    dag.RunSequential(nullptr);
   }
-  return results;
+  return dag.Fetch();
 }
 
 }  // namespace internal

@@ -94,6 +94,8 @@ void FillMetrics(const RunContext& run, const BufferPool::Stats& before,
       run.buffers_released.load(std::memory_order_relaxed);
   metrics->fused_regions = run.fused_regions.load(std::memory_order_relaxed);
   metrics->fused_ops = run.fused_ops.load(std::memory_order_relaxed);
+  metrics->nodes_offloaded =
+      run.nodes_offloaded.load(std::memory_order_relaxed);
   metrics->bytes_allocated =
       static_cast<std::int64_t>(after.bytes_allocated - before.bytes_allocated);
   metrics->pool_hits =

@@ -4,8 +4,9 @@
 // (runtime/plan.h); Run dispatches a prebuilt plan with zero per-run
 // schedule construction. Two strategies, picked at plan-build time:
 //  * DAG path (dag_executor.cc): graphs without control-flow primitives
-//    execute over precompiled dependency counts, optionally fanning ready
-//    ops out to a thread pool (the +PARL knob of Fig. 7).
+//    execute in plan order or, under the +PARL knob of Fig. 7, over atomic
+//    dependency counts with costly nodes handed to a thread pool — when the
+//    plan's one-time calibration (DagSchedule) says the pool pays off.
 //  * Dynamic path (dynamic_executor.cc): graphs containing Switch/Merge/
 //    Enter/Exit/NextIteration execute with tagged tokens carrying
 //    (frame, iteration) context and dead-value propagation, the classic
@@ -54,6 +55,7 @@ struct RunMetrics {
   // and the member ops they covered (also counted in ops_executed).
   std::int64_t fused_regions = 0;
   std::int64_t fused_ops = 0;
+  std::int64_t nodes_offloaded = 0;  // DAG nodes run as thread-pool tasks
 };
 
 class Executor {

@@ -107,9 +107,12 @@ std::vector<const Node*> PrunedTopologicalOrder(
       }
     }
   }
-  // Cycle: schedule in graph order and let the executor's executed-count
-  // check report it.
-  return order.size() == graph_order.size() ? order : graph_order;
+  // The DAG executor walks this order as its sequential schedule, so a
+  // cycle is rejected here rather than run.
+  if (order.size() != graph_order.size()) {
+    throw InternalError("graph contains a cycle (DAG plan)");
+  }
+  return order;
 }
 
 // The installed post-build verification hook (nullptr = none). Relaxed is
@@ -291,6 +294,80 @@ void ExecutionPlan::Link() {
         IsSourceKind(entry.kind) ||
         (entry.kind == OpKind::kKernel && entry.initial_pending == 0);
   }
+}
+
+ExecutionPlan::~ExecutionPlan() { delete schedule_.load(); }
+
+void ExecutionPlan::PublishSchedule(DagSchedule schedule) const {
+  auto* published = new DagSchedule(std::move(schedule));
+  const DagSchedule* expected = nullptr;
+  if (!schedule_.compare_exchange_strong(expected, published,
+                                         std::memory_order_acq_rel)) {
+    delete published;  // another calibration published first
+    return;
+  }
+  profile_->SetSchedule(published->parallel, published->work_ns,
+                        published->critical_path_ns, published->offloaded);
+}
+
+bool PreferParallel(std::int64_t work_ns, std::int64_t critical_path_ns,
+                    std::int64_t offloadable_off_path_ns, int offloaded) {
+  const std::int64_t overlap =
+      std::min(work_ns - critical_path_ns, offloadable_off_path_ns);
+  const std::int64_t saving = overlap - offloaded * kHandoffNs;
+  return saving > 0 && saving >= work_ns / kMinParallelGain;
+}
+
+DagSchedule ComputeDagSchedule(const ExecutionPlan& plan,
+                               std::span<const std::int64_t> cost_ns) {
+  const std::vector<ExecutionPlan::PlanNode>& nodes = plan.nodes();
+  JANUS_EXPECTS(cost_ns.size() == nodes.size());
+  DagSchedule schedule;
+  schedule.offload.assign(nodes.size(), 0);
+  // Longest (costliest) path ending at each node, over data and control
+  // in-edges; the dense array is topological, so one forward pass does.
+  std::vector<std::int64_t> finish(nodes.size(), 0);
+  std::vector<int> heaviest_producer(nodes.size(), -1);
+  int path_end = -1;
+  std::int64_t offloadable_off_path_ns = 0;  // minus the path, below
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::int64_t cost = cost_ns[i];
+    std::int64_t start = 0;
+    const auto depend_on = [&](int producer) {
+      if (finish[static_cast<std::size_t>(producer)] > start) {
+        start = finish[static_cast<std::size_t>(producer)];
+        heaviest_producer[i] = producer;
+      }
+    };
+    for (const ExecutionPlan::Input& input : plan.inputs(nodes[i])) {
+      depend_on(input.producer);
+    }
+    for (const int control : plan.controls(nodes[i])) depend_on(control);
+    finish[i] = start + cost;
+    schedule.work_ns += cost;
+    if (cost >= kHandoffNs) {
+      schedule.offload[i] = 1;
+      ++schedule.offloaded;
+      offloadable_off_path_ns += cost;
+    }
+    if (path_end < 0 ||
+        finish[i] > finish[static_cast<std::size_t>(path_end)]) {
+      path_end = static_cast<int>(i);
+    }
+  }
+  if (path_end >= 0) {
+    schedule.critical_path_ns = finish[static_cast<std::size_t>(path_end)];
+    for (int i = path_end; i >= 0;
+         i = heaviest_producer[static_cast<std::size_t>(i)]) {
+      if (schedule.offload[static_cast<std::size_t>(i)] != 0) {
+        offloadable_off_path_ns -= cost_ns[static_cast<std::size_t>(i)];
+      }
+    }
+  }
+  schedule.parallel =
+      PreferParallel(schedule.work_ns, schedule.critical_path_ns,
+                     offloadable_off_path_ns, schedule.offloaded);
+  return schedule;
 }
 
 int ExecutionPlan::IndexOf(const Node* node) const {

@@ -23,6 +23,7 @@
 #ifndef JANUS_RUNTIME_PLAN_H_
 #define JANUS_RUNTIME_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -46,6 +47,29 @@ class PlanProfile;
 namespace verify {
 class PlanCorruptor;
 }  // namespace verify
+
+// Cost-aware schedule of a DAG plan (the +PARL path of Fig. 7), derived
+// once per plan from per-node costs timed on one warm sequential run and
+// then published through ExecutionPlan::schedule().
+struct DagSchedule {
+  bool parallel = false;              // run on the thread-pool path
+  std::int64_t work_ns = 0;           // W: summed node cost
+  std::int64_t critical_path_ns = 0;  // C: costliest path (data + control)
+  int offloaded = 0;                  // nodes with the offload bit
+  std::vector<std::uint8_t> offload;  // per dense node: cost >= kHandoffNs
+};
+
+// One pool handoff: enqueueing a task, waking a worker and joining its
+// result back. Sized from BM_EnginePlanCaching on a 4-core host: with every
+// node of its 12-node plan forced onto the pool the run took ~27us against
+// ~4us sequential, ~23us for a handful of fan-out handoffs plus the
+// caller's final wake. A node cheaper than this runs inline on the thread
+// that readied it, and the schedule rule charges each offloaded node one.
+inline constexpr std::int64_t kHandoffNs = 5'000;
+
+// A parallel run must be predicted to save at least 1/kMinParallelGain of
+// the plan's work; smaller predicted gains vanish in scheduling noise.
+inline constexpr std::int64_t kMinParallelGain = 8;
 
 // Per-build knobs. `enable_fusion` is ANDed with the process-wide
 // fusion::GloballyEnabled() switch (JANUS_FUSION).
@@ -176,6 +200,22 @@ class ExecutionPlan {
     return fused_regions_;
   }
 
+  // The DAG schedule, or nullptr until a warm run has calibrated it.
+  const DagSchedule* schedule() const {
+    return schedule_.load(std::memory_order_acquire);
+  }
+  // Counts one uncalibrated +PARL run; true from the second on, i.e. when
+  // the run should be timed to calibrate (the first pays one-time costs:
+  // fused-kernel compiles, buffer-pool misses).
+  bool ClaimCalibration() const {
+    return uncalibrated_runs_.fetch_add(1, std::memory_order_relaxed) >= 1;
+  }
+  // Publishes the schedule (and its summary into profile()) unless one is
+  // already published; concurrent calibrations keep the first.
+  void PublishSchedule(DagSchedule schedule) const;
+
+  ~ExecutionPlan();
+
   // Per-node cost accumulator for the source-attributed profiler
   // (obs/profile.h), sized to the plan's dense node array and registered
   // with the global ProfileRegistry at build. Executors record into it
@@ -222,7 +262,24 @@ class ExecutionPlan {
   MemoryPlan memory_;
 
   std::shared_ptr<obs::PlanProfile> profile_;
+
+  // Calibration state: the plan is shared and const, so the schedule is
+  // published once through an atomic and owned (deleted) by the plan.
+  mutable std::atomic<int> uncalibrated_runs_{0};
+  mutable std::atomic<const DagSchedule*> schedule_{nullptr};
 };
+
+// The schedule rule. The pool can overlap at most the work off the critical
+// path (W - C), and of that only the offloadable work not on the critical
+// path (`offloadable_off_path_ns`); every offloaded node pays a handoff.
+// Parallel iff that saving clears W / kMinParallelGain.
+bool PreferParallel(std::int64_t work_ns, std::int64_t critical_path_ns,
+                    std::int64_t offloadable_off_path_ns, int offloaded);
+
+// Derives a DAG plan's schedule from measured per-node costs, indexed by
+// dense node.
+DagSchedule ComputeDagSchedule(const ExecutionPlan& plan,
+                               std::span<const std::int64_t> cost_ns);
 
 // True if the graph uses any dataflow control-flow primitive and therefore
 // needs the dynamic (tagged-token) strategy.

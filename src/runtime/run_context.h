@@ -133,6 +133,9 @@ class RunContext {
   // counts ops normally and leaves these at zero.
   std::atomic<std::int64_t> fused_regions{0};
   std::atomic<std::int64_t> fused_ops{0};
+  // Nodes the parallel DAG path handed to the thread pool (offload-bit
+  // nodes of a plan calibrated onto the parallel path).
+  std::atomic<std::int64_t> nodes_offloaded{0};
 
   // Per-kernel busy-wait (ns) emulating interpreter/framework dispatch cost;
   // only the eager (imperative) executor sets this.

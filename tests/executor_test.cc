@@ -96,40 +96,219 @@ TEST_F(ExecutorTest, DiamondDependency) {
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 6.0f);
 }
 
+// Square matrices big enough that each MatMul costs well over a pool
+// handoff (kHandoffNs), so calibrated plans built from them offload.
+constexpr std::int64_t kHeavyDim = 48;
+
+Tensor HeavyMatrix(float value) {
+  return Tensor::Full(Shape{kHeavyDim, kHeavyDim}, value);
+}
+
+NodeOutput MatMulNode(Graph& g, NodeOutput a, NodeOutput b) {
+  return {g.AddNode("MatMul", {a, b}), 0};
+}
+
+// Runs a plan through its warm-up and calibration runs (a plan's first two
+// +PARL runs are sequential; the second is timed), returning the
+// calibrated plan.
+std::shared_ptr<const ExecutionPlan> Calibrate(
+    Executor& executor, const Graph& g,
+    const std::map<std::string, Tensor>& feeds,
+    const std::vector<NodeOutput>& fetches) {
+  for (int i = 0; i < 2; ++i) executor.Run(g, feeds, fetches);
+  const std::shared_ptr<const ExecutionPlan> plan = GetOrBuildPlan(g, fetches);
+  EXPECT_NE(plan->schedule(), nullptr);
+  return plan;
+}
+
 TEST_F(ExecutorTest, ParallelDagMatchesSequential) {
   Graph g;
   const NodeOutput x = g.Placeholder("x", DType::kFloat32);
-  // A wide fan-out of independent chains joined at the end.
+  // A wide fan-out of independent chains, each headed by a heavy MatMul so
+  // the calibrated plan offloads them, joined at the end.
   std::vector<NodeOutput> chain_ends;
   for (int i = 0; i < 16; ++i) {
-    NodeOutput v = x;
+    NodeOutput v = MatMulNode(g, x, x);
     for (int j = 0; j < 5; ++j) {
       v = {g.AddNode("Add", {v, g.Constant(Tensor::Scalar(1))}), 0};
     }
     chain_ends.push_back(v);
   }
   Node* sum = g.AddNode("AddN", chain_ends);
-  const std::map<std::string, Tensor> feeds{{"x", Tensor::Scalar(2)}};
+  const std::map<std::string, Tensor> feeds{{"x", HeavyMatrix(1)}};
+  const std::vector<NodeOutput> fetches{{sum, 0}};
 
   Executor seq(&library_, &variables_, &host_, &rng_);
-  const auto a = seq.Run(g, feeds, std::vector<NodeOutput>{{sum, 0}});
+  const auto a = seq.Run(g, feeds, fetches);
 
   ThreadPool pool(4);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
-  const auto b = par.Run(g, feeds, std::vector<NodeOutput>{{sum, 0}});
-  EXPECT_FLOAT_EQ(a[0].ScalarValue(), b[0].ScalarValue());
-  EXPECT_FLOAT_EQ(a[0].ScalarValue(), 16 * (2 + 5));
+  const auto plan = Calibrate(par, g, feeds, fetches);
+  ASSERT_TRUE(plan->schedule()->parallel);
+  RunMetrics metrics;
+  const auto b = par.Run(g, feeds, fetches, &metrics);
+  EXPECT_GT(metrics.nodes_offloaded, 0);
+  ASSERT_EQ(a[0].num_elements(), b[0].num_elements());
+  for (std::int64_t i = 0; i < a[0].num_elements(); ++i) {
+    ASSERT_EQ(a[0].data<float>()[i], b[0].data<float>()[i]);
+  }
+  EXPECT_FLOAT_EQ(b[0].data<float>()[0], 16 * (kHeavyDim + 5));
 }
 
 TEST_F(ExecutorTest, ParallelDagPropagatesException) {
   Graph g;
-  const NodeOutput x = g.Placeholder("missing", DType::kFloat32);
-  Node* neg = g.AddNode("Neg", {x});
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  std::vector<NodeOutput> branches;
+  for (int i = 0; i < 8; ++i) {
+    branches.push_back(
+        {g.AddNode("Neg", {MatMulNode(g, x, g.Constant(HeavyMatrix(1)))}),
+         0});
+  }
+  Node* sum = g.AddNode("AddN", branches);
+  const std::vector<NodeOutput> fetches{{sum, 0}};
   ThreadPool pool(2);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
-  EXPECT_THROW(
-      par.Run(g, {}, std::vector<NodeOutput>{{neg, 0}}),
-      InvalidArgument);
+  const auto plan = Calibrate(par, g, {{"x", HeavyMatrix(1)}}, fetches);
+  ASSERT_TRUE(plan->schedule()->parallel);
+  // Mismatched inner dimensions: every MatMul throws, on pool threads, and
+  // nothing downstream of them runs on the missing outputs.
+  EXPECT_THROW(par.Run(g, {{"x", Tensor::Full(Shape{kHeavyDim, 3}, 1)}},
+                       fetches),
+               InvalidArgument);
+  // A missing feed fails the same way on the parallel path.
+  EXPECT_THROW(par.Run(g, {}, fetches), InvalidArgument);
+}
+
+TEST_F(ExecutorTest, HeavyMatMulPlanOffloadsToPool) {
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  std::vector<NodeOutput> products;
+  for (int i = 0; i < 6; ++i) products.push_back(MatMulNode(g, x, x));
+  Node* sum = g.AddNode("AddN", products);
+  const std::vector<NodeOutput> fetches{{sum, 0}};
+  const std::map<std::string, Tensor> feeds{{"x", HeavyMatrix(0.5f)}};
+  ThreadPool pool(4);
+  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+
+  // Warm-up and calibration runs stay on the caller's thread.
+  RunMetrics metrics;
+  par.Run(g, feeds, fetches, &metrics);
+  EXPECT_EQ(metrics.nodes_offloaded, 0);
+  EXPECT_EQ(GetOrBuildPlan(g, fetches)->schedule(), nullptr);
+  par.Run(g, feeds, fetches, &metrics);
+  EXPECT_EQ(metrics.nodes_offloaded, 0);
+
+  const DagSchedule* schedule = GetOrBuildPlan(g, fetches)->schedule();
+  ASSERT_NE(schedule, nullptr);
+  EXPECT_TRUE(schedule->parallel);
+  EXPECT_GE(schedule->work_ns, schedule->critical_path_ns);
+  const std::shared_ptr<const ExecutionPlan> plan = GetOrBuildPlan(g, fetches);
+  int matmuls = 0;
+  for (std::size_t i = 0; i < plan->nodes().size(); ++i) {
+    if (plan->nodes()[i].node->op() != "MatMul") continue;
+    ++matmuls;
+    EXPECT_EQ(schedule->offload[i], 1) << plan->nodes()[i].node->DebugString();
+  }
+  EXPECT_EQ(matmuls, 6);
+  EXPECT_GE(schedule->offloaded, 6);
+  // Six ready MatMuls: five go to the pool, the caller runs the last (and
+  // whichever thread finishes last runs AddN inline).
+  for (int run = 0; run < 5; ++run) {
+    par.Run(g, feeds, fetches, &metrics);
+    EXPECT_EQ(metrics.nodes_offloaded, 5);
+    EXPECT_EQ(metrics.ops_executed, 7);
+  }
+}
+
+TEST_F(ExecutorTest, DagScheduleRuleOnMeasuredPlanShapes) {
+  // W, C, offloaded-node counts and offloadable work off the critical path
+  // timed on warm runs of the end-to-end benchmark's plans (ns).
+  // rnn (LSTM, 628 nodes): the few costly nodes cannot pay their handoffs.
+  EXPECT_FALSE(PreferParallel(736'000, 335'000, 112'000, 46));
+  // churn (26-97 node plans): nothing costs a handoff.
+  EXPECT_FALSE(PreferParallel(15'000, 10'000, 0, 0));
+  EXPECT_FALSE(PreferParallel(96'000, 46'000, 0, 0));
+  // ... and two cheap offloadable nodes buy too little of the plan.
+  EXPECT_FALSE(PreferParallel(78'000, 34'000, 11'600, 2));
+  // cnn (Inception-v3, 97 nodes): wide conv branches overlap.
+  EXPECT_TRUE(PreferParallel(2'737'000, 1'158'000, 1'567'000, 46));
+  // A chain has no work off its critical path.
+  EXPECT_FALSE(PreferParallel(1'000'000, 1'000'000, 0, 10));
+}
+
+TEST_F(ExecutorTest, DagScheduleWeighsCriticalPathOverDataAndControl) {
+  // a -> {b, c}; d reads b and is control-dependent on c.
+  Graph g;
+  const NodeOutput a = g.Constant(Tensor::Scalar(1));
+  Node* b = g.AddNode("Neg", {a});
+  Node* c = g.AddNode("Neg", {a});
+  Node* d = g.AddNode("Neg", {{b, 0}});
+  d->AddControlInput(c);
+  const std::vector<NodeOutput> fetches{{d, 0}};
+  const auto plan = ExecutionPlan::Build(g, fetches, {.enable_fusion = false});
+  ASSERT_EQ(plan->nodes().size(), 4u);
+  std::vector<std::int64_t> cost(4, 0);
+  cost[static_cast<std::size_t>(plan->IndexOf(a.node))] = 1'000;
+  cost[static_cast<std::size_t>(plan->IndexOf(b))] = 10'000;
+  cost[static_cast<std::size_t>(plan->IndexOf(c))] = 400'000;
+  cost[static_cast<std::size_t>(plan->IndexOf(d))] = 2'000;
+  const DagSchedule schedule = ComputeDagSchedule(*plan, cost);
+  EXPECT_EQ(schedule.work_ns, 413'000);
+  // The costliest path runs through the control edge: a -> c -> d.
+  EXPECT_EQ(schedule.critical_path_ns, 403'000);
+  EXPECT_EQ(schedule.offloaded, 2);  // b and c cost at least a handoff
+  EXPECT_EQ(schedule.offload[static_cast<std::size_t>(plan->IndexOf(c))], 1);
+  // Only b (10us) is offloadable off the path: too little to pay off.
+  EXPECT_FALSE(schedule.parallel);
+}
+
+TEST_F(ExecutorTest, FirstFailureIsLowestPlanIndex) {
+  // Two asserts that fail independently. The lower-index one sits behind a
+  // longer chain of MatMuls, so on the pool it fails later in wall time;
+  // both paths must still blame it, every time.
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  const NodeOutput limit = g.Placeholder("limit", DType::kFloat32);
+  const auto assert_on = [&](NodeOutput v, const std::string& id) {
+    const NodeOutput total = {
+        g.AddNode("ReduceSum", {v},
+                  {{"axes", std::vector<std::int64_t>{}},
+                   {"keep_dims", false}}),
+        0};
+    const NodeOutput ok = {g.AddNode("Greater", {limit, total}), 0};
+    return g.AddNode("Assert", {ok}, {{"assumption", id}});
+  };
+  NodeOutput slow = x;
+  for (int i = 0; i < 4; ++i) slow = MatMulNode(g, slow, x);
+  Node* low = assert_on(slow, "low_index");
+  std::vector<NodeOutput> wide;
+  for (int i = 0; i < 3; ++i) wide.push_back(MatMulNode(g, x, x));
+  Node* high = assert_on({g.AddNode("AddN", wide), 0}, "high_index");
+  const std::vector<NodeOutput> fetches{{low, 0}, {high, 0}};
+  const auto plan = GetOrBuildPlan(g, fetches);
+  ASSERT_LT(plan->IndexOf(low), plan->IndexOf(high));
+
+  const std::map<std::string, Tensor> passing{{"x", HeavyMatrix(0.01f)},
+                                              {"limit", Tensor::Scalar(1e9)}};
+  const std::map<std::string, Tensor> failing{{"x", HeavyMatrix(0.01f)},
+                                              {"limit", Tensor::Scalar(-1)}};
+  ThreadPool pool(4);
+  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor seq(&library_, &variables_, &host_, &rng_);
+  Calibrate(par, g, passing, fetches);
+  ASSERT_TRUE(plan->schedule()->parallel);
+  for (Executor* executor : {&par, &seq}) {
+    int blamed_low = 0;
+    for (int run = 0; run < 200; ++run) {
+      try {
+        executor->Run(g, failing, fetches);
+        ADD_FAILURE() << "expected AssumptionFailed";
+      } catch (const AssumptionFailed& e) {
+        if (e.assumption_id() == "low_index") ++blamed_low;
+      }
+    }
+    EXPECT_EQ(blamed_low, 200) << (executor == &par ? "parallel" : "sequential");
+  }
 }
 
 TEST_F(ExecutorTest, ControlDependencyOrdersExecution) {

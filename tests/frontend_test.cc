@@ -528,5 +528,19 @@ r = f(4)
   EXPECT_EQ(observer.entries[0], "f");
 }
 
+TEST_F(FrontendTest, RepeatedSourceKeepsOneAst) {
+  // A training session runs the same step source every step; the session
+  // must keep one AST for it, not one per call.
+  interp_.Run("def f(x):\n    return x + 1\ntotal = 0\n");
+  const std::size_t before = interp_.retained_modules();
+  for (int i = 0; i < 5000; ++i) {
+    interp_.Run("total = f(total)\n");
+    EXPECT_EQ(Num(interp_.EvaluateExpression("total")), i + 1);
+  }
+  EXPECT_EQ(Num(interp_.GetGlobal("total")), 5000);
+  // One AST for the step source and one for the expression.
+  EXPECT_EQ(interp_.retained_modules(), before + 2);
+}
+
 }  // namespace
 }  // namespace janus::minipy

@@ -437,15 +437,22 @@ TEST_P(FusionZooSweep, FusedLossesMatchUnfused) {
   ASSERT_TRUE(fused_options.enable_fusion);
   EngineOptions plain_options;
   plain_options.enable_fusion = false;
+  // +PARL off: a calibrated parallel schedule must not change a bit either.
+  EngineOptions sequential_options;
+  sequential_options.parallel_execution = false;
   models::ModelSession fused(spec, fused_options, 7);
   models::ModelSession plain(spec, plain_options, 7);
+  models::ModelSession sequential(spec, sequential_options, 7);
   for (int i = 0; i < 6; ++i) {
     const double a = fused.Step();
     const double b = plain.Step();
+    const double c = sequential.Step();
     ASSERT_TRUE(std::isfinite(a)) << "step " << i;
     // Fused execution is bitwise identical to per-node execution, so the
     // training trajectories must agree exactly, not just approximately.
     EXPECT_EQ(a, b) << spec.name << " diverged at step " << i;
+    EXPECT_EQ(a, c) << spec.name << " parallel/sequential diverged at step "
+                    << i;
   }
   EXPECT_EQ(plain.engine().stats().fused_regions, 0);
 }

@@ -154,6 +154,21 @@ TEST_F(ProfileTest, EngineRunAccumulatesSourceAttributedSamples) {
   }
   EXPECT_TRUE(found_unit);
 
+  // The engine runs with +PARL, so warm runs calibrated the unit's plan.
+  bool found_schedule = false;
+  for (const obs::ProfileUnitTotals& unit :
+       obs::CollectProfileUnitTotals()) {
+    if (unit.unit != "loss_fn") continue;
+    for (const obs::ProfilePlanSchedule& plan : unit.plans) {
+      if (!plan.schedule.calibrated) continue;
+      found_schedule = true;
+      EXPECT_GT(plan.schedule.work_ns, 0);
+      EXPECT_GE(plan.schedule.work_ns, plan.schedule.critical_path_ns);
+      EXPECT_LE(plan.schedule.offloaded, plan.nodes);
+    }
+  }
+  EXPECT_TRUE(found_schedule);
+
   // The renderers agree with the validator.
   std::string error;
   obs::ProfileJsonSummary summary;
@@ -164,9 +179,41 @@ TEST_F(ProfileTest, EngineRunAccumulatesSourceAttributedSamples) {
   EXPECT_EQ(summary.sample_stride,
             static_cast<int>(obs::kProfileSampleEvery));
   EXPECT_NE(summary.units.count("loss_fn"), 0u);
+  EXPECT_GT(summary.num_plans, 0);
   const std::string text = obs::RenderProfileText();
   EXPECT_NE(text.find("loss_fn"), std::string::npos);
+  EXPECT_NE(text.find(" schedule="), std::string::npos);
   EXPECT_NE(text.find("== by source line =="), std::string::npos);
+}
+
+TEST_F(ProfileTest, ProfileJsonSchemaRequiresPlanSchedules) {
+  const auto doc = [](const std::string& plans) {
+    return "{\"enabled\":false,\"sample_stride\":64,\"units\":[{"
+           "\"unit\":\"u\",\"variant\":\"v\",\"level\":0,\"runs\":1,"
+           "\"generation_ns\":1,\"validation_ns\":1,\"execution_ns\":1" +
+           plans + ",\"lines\":[],\"top_nodes\":[]}]}";
+  };
+  std::string error;
+  obs::ProfileJsonSummary summary;
+  EXPECT_TRUE(obs::ValidateProfileJson(
+      doc(",\"plans\":[{\"nodes\":97,\"schedule\":\"parallel\","
+          "\"work_ns\":2724000,\"critical_path_ns\":1144000,"
+          "\"offloaded\":46}]"),
+      &error, &summary))
+      << error;
+  EXPECT_EQ(summary.num_plans, 1);
+  EXPECT_EQ(summary.num_parallel_plans, 1);
+  EXPECT_FALSE(obs::ValidateProfileJson(doc(""), &error));
+  EXPECT_NE(error.find("plans"), std::string::npos) << error;
+  EXPECT_FALSE(obs::ValidateProfileJson(
+      doc(",\"plans\":[{\"nodes\":3,\"schedule\":\"eager\",\"work_ns\":0,"
+          "\"critical_path_ns\":0,\"offloaded\":0}]"),
+      &error));
+  EXPECT_NE(error.find("unknown schedule"), std::string::npos) << error;
+  EXPECT_FALSE(obs::ValidateProfileJson(
+      doc(",\"plans\":[{\"nodes\":3,\"schedule\":\"sequential\"}]"),
+      &error));
+  EXPECT_NE(error.find("work_ns"), std::string::npos) << error;
 }
 
 TEST_F(ProfileTest, DisabledProfilingRecordsNoSamples) {

@@ -174,10 +174,12 @@ int ValidateProfile(const char* path, int argc, char** argv,
                  error.c_str());
     return 1;
   }
-  std::printf("%s: enabled=%s stride=%d, %d units, %d lines, %d nodes\n",
-              path, summary.enabled ? "true" : "false",
-              summary.sample_stride, summary.num_units, summary.num_lines,
-              summary.num_nodes);
+  std::printf(
+      "%s: enabled=%s stride=%d, %d units, %d lines, %d nodes, %d plans "
+      "(%d parallel)\n",
+      path, summary.enabled ? "true" : "false", summary.sample_stride,
+      summary.num_units, summary.num_lines, summary.num_nodes,
+      summary.num_plans, summary.num_parallel_plans);
   int missing = 0;
   for (int i = first_extra; i < argc; ++i) {
     if (summary.units.count(argv[i]) == 0u) {
