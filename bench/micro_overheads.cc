@@ -6,6 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "core/engine.h"
+#include "core/generator.h"
 #include "frontend/builtins.h"
 #include "obs/ledger.h"
 #include "obs/profile.h"
@@ -438,6 +439,48 @@ void BM_OptimizationPasses(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizationPasses);
+
+void BM_OptimizeTrainingGraph(benchmark::State& state) {
+  // OptimizeGraph on a generated training unit (forward, gradients, SGD
+  // updates, the fetched loss Identity), as a cache miss pays for it. The
+  // unit is generated without +SPCN, whose Compile would already optimize
+  // it; `rounds` counts the fixpoint's rounds.
+  VariableStore variables;
+  Rng rng(1);
+  minipy::Interpreter interp(&variables, &rng);
+  minipy::InstallBuiltins(interp);
+  JanusEngine engine(&interp, EngineOptions{});
+  engine.Attach();
+  interp.Run(R"(
+w = variable('w', constant([[0.1, -0.2], [0.3, 0.4]]))
+v = variable('v', constant([[0.5], [-0.6]]))
+x = constant([[1.0, 2.0], [3.0, 4.0]])
+y = constant([[1.0], [0.0]])
+def fn():
+    h = x
+    for i in range(4):
+        h = tanh(matmul(h, w) * (2.0 * 0.5))
+    err = matmul(h, v) - y
+    return reduce_mean(err * err)
+for i in range(3):
+    optimize(fn, 0.01)
+)");
+  const minipy::Value value = interp.GetGlobal("fn");
+  const auto& fn = std::get<std::shared_ptr<minipy::FunctionValue>>(value);
+  GeneratorOptions unspecialized;
+  unspecialized.specialize = false;
+  GraphGenerator generator(&interp, &engine.profiler(), unspecialized);
+  std::unique_ptr<CompiledGraph> unit;
+  int rounds = 0;
+  for (auto _ : state) {
+    state.PauseTiming();  // generation and the last unit's teardown
+    unit = generator.Compile(fn, {}, /*training=*/true, 0.01);
+    state.ResumeTiming();
+    rounds = OptimizeGraph(unit->graph, unit->fetches).rounds;
+  }
+  state.counters["rounds"] = rounds;
+}
+BENCHMARK(BM_OptimizeTrainingGraph);
 
 }  // namespace
 }  // namespace janus

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/error.h"
 
@@ -167,9 +166,13 @@ NodeOutput Graph::Placeholder(std::string name, DType dtype) {
 }
 
 void Graph::Prune(const std::vector<Node*>& keep) {
-  std::unordered_set<const Node*> kept(keep.begin(), keep.end());
+  std::vector<char> kept(static_cast<std::size_t>(next_id_), 0);
+  for (const Node* node : keep) {
+    JANUS_EXPECTS(node->id() < next_id_);
+    kept[static_cast<std::size_t>(node->id())] = 1;
+  }
   std::erase_if(nodes_, [&kept](const std::unique_ptr<Node>& node) {
-    return kept.find(node.get()) == kept.end();
+    return kept[static_cast<std::size_t>(node->id())] == 0;
   });
   ++version_;
 }

@@ -114,6 +114,9 @@ class Graph {
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
   std::size_t num_nodes() const { return nodes_.size(); }
+  // Node ids are handed out densely from 0, so every node of this graph has
+  // an id below next_id(): passes index per-node tables by id.
+  int next_id() const { return next_id_; }
 
   // Removes nodes not satisfying `keep`. Caller guarantees no kept node
   // references a removed one.

@@ -1,8 +1,10 @@
 #include "opt/passes.h"
 
-#include <sstream>
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <unordered_set>
+#include <variant>
 
 #include "common/error.h"
 #include "runtime/kernel.h"
@@ -11,49 +13,78 @@
 namespace janus {
 namespace {
 
-struct OutKey {
-  const Node* node;
-  int index;
-  bool operator==(const OutKey& other) const = default;
-};
-struct OutKeyHash {
-  std::size_t operator()(const OutKey& key) const {
-    return std::hash<const void*>()(key.node) * 2654435761u ^
-           static_cast<std::size_t>(key.index);
+std::size_t Idx(int i) { return static_cast<std::size_t>(i); }
+
+// The outputs one pass replaces, indexed by the replaced node's id. Only
+// nodes that existed when the pass started are replaced; nodes it adds
+// (folded constants, ZerosLike) have ids past the table and resolve to
+// themselves.
+class Replacements {
+ public:
+  explicit Replacements(const Graph& graph)
+      : first_slot_(Idx(graph.next_id()), -1) {}
+
+  void Set(const Node* node, int index, NodeOutput with) {
+    int& first = first_slot_[Idx(node->id())];
+    if (first < 0) {
+      first = static_cast<int>(slots_.size());
+      slots_.resize(slots_.size() + Idx(node->num_outputs()));
+    }
+    slots_[Idx(first + index)] = with;
   }
-};
 
-using Replacements = std::unordered_map<OutKey, NodeOutput, OutKeyHash>;
+  // The replacement recorded for `v` itself (one hop), or nullptr.
+  const NodeOutput* Find(NodeOutput v) const {
+    const std::size_t id = Idx(v.node->id());
+    if (id >= first_slot_.size() || first_slot_[id] < 0) return nullptr;
+    const NodeOutput& with = slots_[Idx(first_slot_[id] + v.index)];
+    return with.node != nullptr ? &with : nullptr;
+  }
 
-// Rewires every use of a replaced output (including transitively chained
-// replacements) to its final producer. Optionally updates fetch handles.
-void ApplyReplacements(Graph& graph, const Replacements& repl,
-                       std::vector<NodeOutput>* fetches) {
-  const auto resolve = [&](NodeOutput v) {
-    // Chase chains (a -> b -> c) with a small bound to catch cycles.
-    for (int hops = 0; hops < 64; ++hops) {
-      const auto it = repl.find({v.node, v.index});
-      if (it == repl.end()) return v;
-      v = it->second;
-    }
-    throw InternalError("replacement cycle in optimisation pass");
-  };
-  for (const auto& node : graph.nodes()) {
-    for (int i = 0; i < node->num_inputs(); ++i) {
-      node->set_input(i, resolve(node->input(i)));
-    }
-    // Control inputs: redirect to the replacement's producer node.
-    for (Node* control : node->control_inputs()) {
-      const auto it = repl.find({control, 0});
-      if (it != repl.end()) {
-        node->ReplaceControlInput(control, resolve({control, 0}).node);
+  // Rewires every use of a replaced output (including transitively chained
+  // replacements) to its final producer. Returns how many replaced nodes
+  // lost at least one data or control use: a replacement nobody reads (a
+  // fetched Identity, a duplicate with no consumers) changes nothing.
+  int Apply(Graph& graph) const {
+    if (slots_.empty()) return 0;
+    std::vector<char> moved(first_slot_.size(), 0);
+    for (const auto& node : graph.nodes()) {
+      for (int i = 0; i < node->num_inputs(); ++i) {
+        const NodeOutput v = node->input(i);
+        if (Find(v) == nullptr) continue;
+        node->set_input(i, Resolve(v));
+        moved[Idx(v.node->id())] = 1;
+      }
+      // Control inputs: redirect to the replacement's producer node.
+      for (Node* control : node->control_inputs()) {
+        if (Find({control, 0}) == nullptr) continue;
+        node->ReplaceControlInput(control, Resolve({control, 0}).node);
+        moved[Idx(control->id())] = 1;
       }
     }
+    return static_cast<int>(std::count(moved.begin(), moved.end(), 1));
   }
-  if (fetches != nullptr) {
-    for (NodeOutput& fetch : *fetches) fetch = resolve(fetch);
+
+ private:
+  NodeOutput Resolve(NodeOutput v) const {
+    // Chase chains (a -> b -> c) with a small bound to catch cycles.
+    for (int hops = 0; hops < 64; ++hops) {
+      const NodeOutput* with = Find(v);
+      if (with == nullptr) return v;
+      v = *with;
+    }
+    throw InternalError("replacement cycle in optimisation pass");
   }
-}
+
+  std::vector<int> first_slot_;    // per node id: its output 0's slot, or -1
+  std::vector<NodeOutput> slots_;  // per replaced output; null if kept
+};
+
+// What one rewriting pass did.
+struct PassCounts {
+  int replaced = 0;  // nodes it replaced: the public pass functions' count
+  int rewired = 0;   // of those, nodes that lost at least one use
+};
 
 bool IsConst(const Node* node) { return node->op() == "Const"; }
 
@@ -64,77 +95,31 @@ bool IsScalarConst(const Node* node, float value) {
   return t.ElementAsDouble(0) == static_cast<double>(value);
 }
 
-std::string AttrSignature(const AttrMap& attrs) {
-  std::ostringstream oss;
-  for (const auto& [key, value] : attrs) {
-    oss << key << '=';
-    if (const Tensor* t = std::get_if<Tensor>(&value)) {
-      // Hash small tensors by content; large ones are treated as unique so
-      // we never pay to compare big weight blobs.
-      if (t->num_elements() <= 256) {
-        oss << DTypeName(t->dtype()) << t->shape().ToString() << ':';
-        for (std::int64_t i = 0; i < t->num_elements(); ++i) {
-          oss << t->ElementAsDouble(i) << ',';
-        }
-      } else {
-        oss << "unique@" << static_cast<const void*>(t);
-      }
-    } else {
-      oss << AttrToString(value);
-    }
-    oss << ';';
-  }
-  return oss.str();
-}
-
-}  // namespace
-
-bool IsPureOp(const std::string& op) {
-  static const std::unordered_set<std::string>* const impure = [] {
-    return new std::unordered_set<std::string>{
-        "Placeholder",   "Param",          "Const",
-        "ReadVariable",  "AssignVariable", "ApplySGD",
-        "Assert",        "PyGetAttr",      "PySetAttr",
-        "PyGetSubscr",   "PySetSubscr",    "PyPrint",
-        "RandomNormal",  "RandomUniform",  "NoOp",
-        "Invoke",        "While",          "WhileGrad",
-        "Switch",        "Merge",          "Enter",
-        "Exit",          "NextIteration"};
-  }();
-  return impure->find(op) == impure->end();
-}
-
-int ConstantFolding(Graph& graph) {
-  Replacements repl;
-  int folded = 0;
+PassCounts Fold(Graph& graph) {
+  Replacements repl(graph);
+  PassCounts counts;
   // Snapshot: graph.Constant() below appends nodes while we iterate.
   std::vector<Node*> snapshot;
   snapshot.reserve(graph.num_nodes());
   for (const auto& n : graph.nodes()) snapshot.push_back(n.get());
+  // Inputs may themselves have been folded this round; chase them.
+  const auto effective = [&repl](NodeOutput input) {
+    const NodeOutput* with = repl.Find(input);
+    return with != nullptr ? with->node : input.node;
+  };
   for (Node* node : snapshot) {
     if (!IsPureOp(node->op())) continue;
     if (node->num_inputs() == 0) continue;
     if (!node->control_inputs().empty()) continue;
-    bool all_const = true;
-    for (const NodeOutput& input : node->inputs()) {
-      // Inputs may themselves have been folded this round; chase them.
-      const Node* producer = input.node;
-      const auto it = repl.find({producer, input.index});
-      const Node* effective = it != repl.end() ? it->second.node : producer;
-      if (!IsConst(effective)) {
-        all_const = false;
-        break;
-      }
-    }
+    const bool all_const =
+        std::all_of(node->inputs().begin(), node->inputs().end(),
+                    [&](NodeOutput input) { return IsConst(effective(input)); });
     if (!all_const) continue;
 
     std::vector<Tensor> inputs;
     inputs.reserve(node->inputs().size());
     for (const NodeOutput& input : node->inputs()) {
-      const auto it = repl.find({input.node, input.index});
-      const Node* effective =
-          it != repl.end() ? it->second.node : input.node;
-      inputs.push_back(effective->GetTensorAttr("value"));
+      inputs.push_back(effective(input)->GetTensorAttr("value"));
     }
     RunContext run;  // pure kernels need no services
     KernelContext ctx;
@@ -150,52 +135,21 @@ int ConstantFolding(Graph& graph) {
     // The folded constant inherits the replaced node's source site.
     SourceSiteScope site_scope(node->site());
     for (int i = 0; i < node->num_outputs(); ++i) {
-      repl[{node, i}] =
-          graph.Constant(ctx.outputs[static_cast<std::size_t>(i)]);
+      repl.Set(node, i,
+               graph.Constant(ctx.outputs[static_cast<std::size_t>(i)]));
     }
-    ++folded;
+    ++counts.replaced;
   }
-  ApplyReplacements(graph, repl, nullptr);
-  return folded;
+  counts.rewired = repl.Apply(graph);
+  return counts;
 }
 
-int CommonSubexpressionElimination(Graph& graph) {
-  Replacements repl;
-  std::unordered_map<std::string, Node*> seen;
-  int merged = 0;
-  for (const auto& node : graph.nodes()) {
-    if (!IsPureOp(node->op()) && node->op() != "Const") continue;
-    std::ostringstream sig;
-    sig << node->op() << '(';
-    for (const NodeOutput& input : node->inputs()) {
-      NodeOutput v = input;
-      const auto it = repl.find({v.node, v.index});
-      if (it != repl.end()) v = it->second;
-      sig << v.node->id() << ':' << v.index << ',';
-    }
-    sig << ")^[";
-    for (const Node* control : node->control_inputs()) {
-      sig << control->id() << ',';
-    }
-    sig << ']' << AttrSignature(node->attrs());
-    const auto [it, inserted] = seen.emplace(sig.str(), node.get());
-    if (!inserted) {
-      for (int i = 0; i < node->num_outputs(); ++i) {
-        repl[{node.get(), i}] = {it->second, i};
-      }
-      ++merged;
-    }
-  }
-  ApplyReplacements(graph, repl, nullptr);
-  return merged;
-}
-
-int ArithmeticSimplification(Graph& graph) {
-  Replacements repl;
-  int rewrites = 0;
+PassCounts Simplify(Graph& graph) {
+  Replacements repl(graph);
+  PassCounts counts;
   const auto replace = [&](Node* node, NodeOutput with) {
-    repl[{node, 0}] = with;
-    ++rewrites;
+    repl.Set(node, 0, with);
+    ++counts.replaced;
   };
   // Snapshot: the ZerosLike rewrite appends nodes while we iterate.
   std::vector<Node*> snapshot;
@@ -238,28 +192,193 @@ int ArithmeticSimplification(Graph& graph) {
       if (IsScalarConst(in(1).node, 1.0f)) replace(node, in(0));
     }
   }
-  ApplyReplacements(graph, repl, nullptr);
-  return rewrites;
+  counts.rewired = repl.Apply(graph);
+  return counts;
+}
+
+// ---- Exact structural CSE ----
+//
+// A candidate's key is its op, its inputs resolved through this pass's
+// merges, its control inputs and its attributes. Keys are hashed into an
+// open-addressed table and two nodes merge only if their keys compare
+// equal: doubles bitwise, tensors by dtype, shape and bytes. Tensors larger
+// than kMaxCseTensorElements never merge, so big weight blobs are never
+// compared.
+constexpr std::int64_t kMaxCseTensorElements = 256;
+
+std::size_t Mix(std::size_t h, std::size_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+std::size_t HashTensor(const Tensor& t) {
+  std::size_t h = static_cast<std::size_t>(t.dtype());
+  for (const std::int64_t dim : t.shape().dims()) {
+    h = Mix(h, static_cast<std::size_t>(dim));
+  }
+  const auto mix_all = [&h](auto values) {
+    for (auto v : values) h = Mix(h, std::hash<decltype(v)>()(v));
+  };
+  switch (t.dtype()) {
+    case DType::kFloat32:
+      mix_all(t.data<float>());
+      break;
+    case DType::kInt64:
+      mix_all(t.data<std::int64_t>());
+      break;
+    case DType::kBool:
+      mix_all(t.data<std::uint8_t>());
+      break;
+  }
+  return h;
+}
+
+bool AttrEqual(const AttrValue& a, const AttrValue& b) {
+  if (a.index() != b.index()) return false;
+  return std::visit(
+      [&b](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        const T& y = std::get<T>(b);
+        if constexpr (std::is_same_v<T, double>) {
+          return std::bit_cast<std::uint64_t>(x) ==
+                 std::bit_cast<std::uint64_t>(y);
+        } else if constexpr (std::is_same_v<T, Tensor>) {
+          return x.ElementsEqual(y);
+        } else {
+          return x == y;
+        }
+      },
+      a);
+}
+
+bool HasLargeTensor(const AttrMap& attrs) {
+  return std::any_of(attrs.begin(), attrs.end(), [](const auto& entry) {
+    const Tensor* t = std::get_if<Tensor>(&entry.second);
+    return t != nullptr && t->num_elements() > kMaxCseTensorElements;
+  });
+}
+
+bool AttrsEqual(const AttrMap& a, const AttrMap& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first && AttrEqual(x.second, y.second);
+                    });
+}
+
+PassCounts Cse(Graph& graph) {
+  Replacements repl(graph);
+  PassCounts counts;
+  struct Entry {
+    Node* node;
+    std::size_t hash;
+    std::size_t inputs_begin;  // into `resolved`
+  };
+  std::vector<Entry> entries;
+  // Every entry's inputs as resolved when it was keyed, in entry order;
+  // the candidate being keyed occupies the tail.
+  std::vector<NodeOutput> resolved;
+  std::size_t capacity = 16;
+  while (capacity < 2 * graph.num_nodes()) capacity <<= 1;
+  const std::size_t mask = capacity - 1;
+  std::vector<int> table(capacity, -1);  // entry indices
+
+  for (const auto& owned : graph.nodes()) {
+    Node* node = owned.get();
+    if (!IsPureOp(node->op()) && !IsConst(node)) continue;
+    if (HasLargeTensor(node->attrs())) continue;
+    const std::size_t begin = resolved.size();
+    std::size_t h = std::hash<std::string>()(node->op());
+    for (const NodeOutput& input : node->inputs()) {
+      const NodeOutput* with = repl.Find(input);
+      const NodeOutput v = with != nullptr ? *with : input;
+      resolved.push_back(v);
+      h = Mix(Mix(h, Idx(v.node->id())), Idx(v.index));
+    }
+    for (const Node* control : node->control_inputs()) {
+      h = Mix(h, Idx(control->id()));
+    }
+    // Only tensor attrs (Const values) are hashed: nodes sharing op and
+    // inputs rarely differ in other attrs, and the comparison is exact.
+    for (const auto& entry : node->attrs()) {
+      if (const Tensor* t = std::get_if<Tensor>(&entry.second)) {
+        h = Mix(h, HashTensor(*t));
+      }
+    }
+    const auto same_key = [&](const Entry& e) {
+      const Node& other = *e.node;
+      return e.hash == h && other.op() == node->op() &&
+             other.num_inputs() == node->num_inputs() &&
+             std::equal(resolved.begin() + static_cast<std::ptrdiff_t>(begin),
+                        resolved.end(),
+                        resolved.begin() +
+                            static_cast<std::ptrdiff_t>(e.inputs_begin)) &&
+             other.control_inputs() == node->control_inputs() &&
+             AttrsEqual(other.attrs(), node->attrs());
+    };
+    std::size_t slot = h & mask;
+    while (table[slot] >= 0 && !same_key(entries[Idx(table[slot])])) {
+      slot = (slot + 1) & mask;
+    }
+    if (table[slot] < 0) {
+      table[slot] = static_cast<int>(entries.size());
+      entries.push_back({node, h, begin});
+      continue;
+    }
+    Node* canonical = entries[Idx(table[slot])].node;
+    resolved.resize(begin);
+    for (int i = 0; i < node->num_outputs(); ++i) {
+      repl.Set(node, i, {canonical, i});
+    }
+    ++counts.replaced;
+  }
+  counts.rewired = repl.Apply(graph);
+  return counts;
+}
+
+}  // namespace
+
+bool IsPureOp(const std::string& op) {
+  static const std::unordered_set<std::string>* const impure = [] {
+    return new std::unordered_set<std::string>{
+        "Placeholder",   "Param",          "Const",
+        "ReadVariable",  "AssignVariable", "ApplySGD",
+        "Assert",        "PyGetAttr",      "PySetAttr",
+        "PyGetSubscr",   "PySetSubscr",    "PyPrint",
+        "RandomNormal",  "RandomUniform",  "NoOp",
+        "Invoke",        "While",          "WhileGrad",
+        "Switch",        "Merge",          "Enter",
+        "Exit",          "NextIteration"};
+  }();
+  return impure->find(op) == impure->end();
+}
+
+int ConstantFolding(Graph& graph) { return Fold(graph).replaced; }
+
+int CommonSubexpressionElimination(Graph& graph) {
+  return Cse(graph).replaced;
+}
+
+int ArithmeticSimplification(Graph& graph) {
+  return Simplify(graph).replaced;
 }
 
 int DeadCodeElimination(Graph& graph, std::span<const NodeOutput> fetches) {
-  std::unordered_set<const Node*> live;
+  std::vector<char> live(Idx(graph.next_id()), 0);
+  std::vector<Node*> keep;
   std::vector<Node*> stack;
   for (const NodeOutput& fetch : fetches) stack.push_back(fetch.node);
   while (!stack.empty()) {
     Node* node = stack.back();
     stack.pop_back();
-    if (!live.insert(node).second) continue;
+    char& mark = live.at(Idx(node->id()));
+    if (mark != 0) continue;
+    mark = 1;
+    keep.push_back(node);
     for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
     for (Node* control : node->control_inputs()) stack.push_back(control);
   }
-  std::vector<Node*> keep;
-  keep.reserve(live.size());
-  for (const auto& node : graph.nodes()) {
-    if (live.count(node.get()) != 0u) keep.push_back(node.get());
-  }
   const int removed = static_cast<int>(graph.num_nodes() - keep.size());
-  graph.Prune(keep);
+  if (removed != 0) graph.Prune(keep);
   return removed;
 }
 
@@ -268,10 +387,20 @@ OptimizationStats OptimizeGraph(Graph& graph,
                                 int max_rounds) {
   OptimizationStats stats;
   for (int round = 0; round < max_rounds; ++round) {
-    const int folded = ConstantFolding(graph);
-    const int simplified = ArithmeticSimplification(graph);
-    const int merged = CommonSubexpressionElimination(graph);
-    const int removed = DeadCodeElimination(graph, fetches);
+    const int first_new_id = graph.next_id();
+    const std::size_t nodes_before = graph.num_nodes();
+    const int folded = Fold(graph).rewired;
+    const int simplified = Simplify(graph).rewired;
+    const int merged = Cse(graph).rewired;
+    int removed = DeadCodeElimination(graph, fetches);
+    if (removed != 0) {
+      // A node this round added and DCE dropped again (a constant folded
+      // from a node nobody reads) is no change: count the input's nodes.
+      const auto survivors = std::count_if(
+          graph.nodes().begin(), graph.nodes().end(),
+          [first_new_id](const auto& n) { return n->id() < first_new_id; });
+      removed = static_cast<int>(nodes_before) - static_cast<int>(survivors);
+    }
     stats.folded += folded;
     stats.simplified += simplified;
     stats.cse_merged += merged;

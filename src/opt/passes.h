@@ -23,7 +23,10 @@ bool IsPureOp(const std::string& op);
 // executing their kernels at optimisation time. Returns #nodes folded.
 int ConstantFolding(Graph& graph);
 
-// Merges duplicate pure nodes (same op, inputs, attrs). Returns #merged.
+// Merges duplicate pure nodes and equal constants: same op, same inputs,
+// same control inputs and exactly equal attrs (doubles bitwise, tensors of
+// at most 256 elements by dtype, shape and bytes; larger tensors never
+// merge). Returns #merged.
 int CommonSubexpressionElimination(Graph& graph);
 
 // Local algebraic rewrites: x+0 -> x, x*1 -> x, x-0 -> x, x/1 -> x,
@@ -35,6 +38,10 @@ int ArithmeticSimplification(Graph& graph);
 // Returns #nodes removed.
 int DeadCodeElimination(Graph& graph, std::span<const NodeOutput> fetches);
 
+// Counts only what changed the graph: `folded`, `cse_merged` and
+// `simplified` count replaced nodes that lost at least one data or control
+// use, and `dce_removed` counts removed nodes of the graph each round
+// started from. A replacement nobody reads (a fetched Identity) is none.
 struct OptimizationStats {
   int folded = 0;
   int cse_merged = 0;
@@ -43,7 +50,9 @@ struct OptimizationStats {
   int rounds = 0;
 };
 
-// Runs all passes to a (bounded) fixpoint.
+// Runs fold, simplify, CSE and DCE in rounds until a round changes nothing
+// (that round included in `rounds`) or `max_rounds` have run. Fetches are
+// never rewritten.
 OptimizationStats OptimizeGraph(Graph& graph,
                                 std::span<const NodeOutput> fetches,
                                 int max_rounds = 8);

@@ -84,12 +84,22 @@ Tensor BinaryImpl(const Tensor& a, const Tensor& b, DType out_dtype, F fn) {
       }
     }
   }
-  const BroadcastIndexer indexer(a.shape(), b.shape(), out_shape);
   const auto write = [&](auto span) {
+    const auto u = [](std::int64_t i) { return static_cast<std::size_t>(i); };
+    // A one-element operand broadcasts against every element of the other,
+    // whose element i is then output element i: no index mapping needed.
+    if (av.size() == 1 && bv.size() == u(n)) {
+      for (std::int64_t i = 0; i < n; ++i) span[u(i)] = fn(av[0], bv[u(i)]);
+      return;
+    }
+    if (bv.size() == 1 && av.size() == u(n)) {
+      for (std::int64_t i = 0; i < n; ++i) span[u(i)] = fn(av[u(i)], bv[0]);
+      return;
+    }
+    const BroadcastIndexer indexer(a.shape(), b.shape(), out_shape);
     for (std::int64_t i = 0; i < n; ++i) {
       const auto [ai, bi] = indexer.Map(i);
-      span[static_cast<std::size_t>(i)] =
-          fn(av[static_cast<std::size_t>(ai)], bv[static_cast<std::size_t>(bi)]);
+      span[u(i)] = fn(av[u(ai)], bv[u(bi)]);
     }
   };
   switch (out_dtype) {

@@ -287,16 +287,21 @@ TEST_F(ExecutorTest, FirstFailureIsLowestPlanIndex) {
   const std::vector<NodeOutput> fetches{{low, 0}, {high, 0}};
   const auto plan = GetOrBuildPlan(g, fetches);
   ASSERT_LT(plan->IndexOf(low), plan->IndexOf(high));
+  // Publish a schedule from fixed costs (every MatMul 200us, every other
+  // node 1us) rather than timing a run, so the parallel path is taken on
+  // any host, however fast its MatMuls.
+  std::vector<std::int64_t> cost(plan->nodes().size(), 1'000);
+  for (std::size_t i = 0; i < cost.size(); ++i) {
+    if (plan->nodes()[i].node->op() == "MatMul") cost[i] = 200'000;
+  }
+  plan->PublishSchedule(ComputeDagSchedule(*plan, cost));
+  ASSERT_TRUE(plan->schedule()->parallel);
 
-  const std::map<std::string, Tensor> passing{{"x", HeavyMatrix(0.01f)},
-                                              {"limit", Tensor::Scalar(1e9)}};
   const std::map<std::string, Tensor> failing{{"x", HeavyMatrix(0.01f)},
                                               {"limit", Tensor::Scalar(-1)}};
   ThreadPool pool(4);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
   Executor seq(&library_, &variables_, &host_, &rng_);
-  Calibrate(par, g, passing, fetches);
-  ASSERT_TRUE(plan->schedule()->parallel);
   for (Executor* executor : {&par, &seq}) {
     int blamed_low = 0;
     for (int run = 0; run < 200; ++run) {

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
+#include "core/engine.h"
+#include "core/generator.h"
+#include "frontend/builtins.h"
 #include "runtime/executor.h"
 #include "tensor/ops.h"
 
@@ -93,6 +98,36 @@ TEST_F(OptTest, CseDeduplicatesEqualConstants) {
   g.Constant(Tensor::Scalar(1));
   g.Constant(Tensor::Scalar(1));
   g.Constant(Tensor::Scalar(2));
+  EXPECT_EQ(CommonSubexpressionElimination(g), 1);
+}
+
+TEST_F(OptTest, CseKeepsNearlyEqualConstantsApart) {
+  // 1.0f and the next float up print alike at six significant digits; they
+  // must stay distinct, or x*a - x*b folds to zero.
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  const NodeOutput a = g.Constant(Tensor::Scalar(1.0f));
+  const NodeOutput b = g.Constant(Tensor::Scalar(std::nextafter(1.0f, 2.0f)));
+  Node* xa = g.AddNode("Mul", {x, a});
+  Node* xb = g.AddNode("Mul", {x, b});
+  Node* diff = g.AddNode("Sub", {{xa, 0}, {xb, 0}});
+  std::vector<NodeOutput> fetches{{diff, 0}};
+  const std::map<std::string, Tensor> feeds{{"x", Tensor::Scalar(3)}};
+  const auto before = Run(g, fetches, feeds);
+  ASSERT_NE(before[0].ScalarValue(), 0.0f);
+  EXPECT_EQ(CommonSubexpressionElimination(g), 0);
+  OptimizeGraph(g, fetches);
+  const auto after = Run(g, fetches, feeds);
+  EXPECT_TRUE(after[0].ElementsEqual(before[0]));
+}
+
+TEST_F(OptTest, CseComparesDoubleAttrsExactly) {
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  g.AddNode("Square", {x}, {{"alpha", 0.1234567}});
+  g.AddNode("Square", {x}, {{"alpha", 0.1234568}});
+  EXPECT_EQ(CommonSubexpressionElimination(g), 0);
+  g.AddNode("Square", {x}, {{"alpha", 0.1234568}});
   EXPECT_EQ(CommonSubexpressionElimination(g), 1);
 }
 
@@ -203,6 +238,91 @@ TEST_F(OptTest, OptimizeGraphIsIdempotent) {
   EXPECT_EQ(again.folded + again.cse_merged + again.simplified +
                 again.dce_removed,
             0);
+}
+
+TEST_F(OptTest, FetchedIdentityIsNoChange) {
+  // The generator fetches an Identity of the loss. Forwarding it rewires
+  // nothing once its consumers read its input, so it must not keep the
+  // fixpoint loop going.
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* in = g.AddNode("Identity", {x});
+  Node* s = g.AddNode("Square", {{in, 0}});
+  Node* out = g.AddNode("Identity", {{s, 0}});
+  std::vector<NodeOutput> fetches{{out, 0}};
+  const OptimizationStats first = OptimizeGraph(g, fetches);
+  EXPECT_EQ(first.simplified, 1);
+  EXPECT_EQ(first.dce_removed, 1);
+  EXPECT_EQ(first.rounds, 2);
+  const OptimizationStats again = OptimizeGraph(g, fetches);
+  EXPECT_EQ(again.folded + again.cse_merged + again.simplified +
+                again.dce_removed,
+            0);
+  EXPECT_EQ(again.rounds, 1);
+  const auto r = Run(g, fetches, {{"x", Tensor::Scalar(3)}});
+  EXPECT_FLOAT_EQ(r[0].ScalarValue(), 9.0f);
+}
+
+TEST_F(OptTest, FetchedFoldableNodeIsNoChange) {
+  // Folding a node nobody reads adds a constant DCE drops again in the same
+  // round: no change, so the loop stops after one round.
+  Graph g;
+  const NodeOutput two = g.Constant(Tensor::Scalar(2));
+  Node* out = g.AddNode("Identity", {two});
+  std::vector<NodeOutput> fetches{{out, 0}};
+  const OptimizationStats stats = OptimizeGraph(g, fetches);
+  EXPECT_EQ(stats.rounds, 1);
+  EXPECT_EQ(stats.dce_removed, 0);
+  EXPECT_EQ(g.num_nodes(), 2u);
+}
+
+// A two-layer training step: the graph GraphGenerator emits for it carries
+// gradients, SGD updates and the fetched loss Identity.
+constexpr const char* kTrainingProgram = R"(
+w1 = variable('w1', constant([[0.1, -0.2], [0.3, 0.4]]))
+w2 = variable('w2', constant([[0.5], [-0.6]]))
+x = constant([[1.0, 2.0], [3.0, 4.0]])
+y = constant([[1.0], [0.0]])
+
+def loss_fn():
+    h = tanh(matmul(x, w1))
+    pred = matmul(h, w2) * (2.0 * 0.5) + 0.0
+    err = pred - y
+    return reduce_mean(err * err)
+
+for i in range(3):
+    optimize(loss_fn, 0.1)
+)";
+
+TEST(OptGeneratedTest, TrainingUnitReachesFixpointInTwoRounds) {
+  VariableStore variables;
+  Rng rng(5);
+  minipy::Interpreter interp(&variables, &rng);
+  minipy::InstallBuiltins(interp);
+  JanusEngine engine(&interp, EngineOptions{});
+  engine.Attach();
+  interp.Run(kTrainingProgram);
+  const minipy::Value value = interp.GetGlobal("loss_fn");
+  const auto& fn = std::get<std::shared_ptr<minipy::FunctionValue>>(value);
+
+  GeneratorOptions unspecialized;
+  unspecialized.specialize = false;
+  GraphGenerator raw_generator(&interp, &engine.profiler(), unspecialized);
+  const auto raw = raw_generator.Compile(fn, {}, /*training=*/true, 0.1);
+  const OptimizationStats stats = OptimizeGraph(raw->graph, raw->fetches);
+  EXPECT_GT(stats.folded + stats.cse_merged + stats.simplified +
+                stats.dce_removed,
+            0);
+  EXPECT_LE(stats.rounds, 2);
+
+  // Compile already optimized the specialized unit: nothing is left to do.
+  GraphGenerator generator(&interp, &engine.profiler(), GeneratorOptions{});
+  const auto unit = generator.Compile(fn, {}, /*training=*/true, 0.1);
+  const OptimizationStats again = OptimizeGraph(unit->graph, unit->fetches);
+  EXPECT_EQ(again.folded + again.cse_merged + again.simplified +
+                again.dce_removed,
+            0);
+  EXPECT_EQ(again.rounds, 1);
 }
 
 TEST_F(OptTest, PurityClassification) {

@@ -255,7 +255,9 @@ TEST_F(ProfileTest, EagerOpsProfileAsImperativeUnit) {
 TEST_F(ProfileTest, ThreadedRecordingLosesNoCountsOrTime) {
   std::vector<ProfileNodeInfo> infos(4);
   for (int i = 0; i < 4; ++i) {
-    infos[static_cast<std::size_t>(i)].name = "n" + std::to_string(i);
+    std::string& name = infos[static_cast<std::size_t>(i)].name;
+    name = "n";
+    name += std::to_string(i);
   }
   PlanProfile profile(std::move(infos));
   constexpr int kThreads = 8;

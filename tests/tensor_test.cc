@@ -183,6 +183,39 @@ TEST(ElementwiseTest, AddBroadcastScalar) {
   ExpectNear(ops::Add(Vec({1, 2, 3}), Tensor::Scalar(5)), {6, 7, 8});
 }
 
+// The scalar fast path (a one-element operand) against the broadcast
+// indexer: the same value as a [1, 3] row takes the indexer, and both must
+// give bitwise-equal results with the scalar on either side.
+void ExpectScalarPathMatchesBroadcast(const Tensor& scalar, const Tensor& row,
+                                      const Tensor& m) {
+  using BinaryOp = Tensor (*)(const Tensor&, const Tensor&);
+  for (const BinaryOp op : {&ops::Sub, &ops::Mul, &ops::Div, &ops::Pow}) {
+    const Tensor left = op(scalar, m);
+    const Tensor left_ref = op(row, m);
+    EXPECT_EQ(left.shape(), BroadcastShapes(scalar.shape(), m.shape()));
+    EXPECT_TRUE(left.Reshaped(left_ref.shape()).ElementsEqual(left_ref));
+    const Tensor right = op(m, scalar);
+    const Tensor right_ref = op(m, row);
+    EXPECT_EQ(right.shape(), BroadcastShapes(m.shape(), scalar.shape()));
+    EXPECT_TRUE(right.Reshaped(right_ref.shape()).ElementsEqual(right_ref));
+  }
+}
+
+TEST(ElementwiseTest, ScalarOperandMatchesBroadcastPathFloat) {
+  const Tensor m = Mat({1.5f, -2.25f, 3.0f, 0.1f, 7e-3f, -6.0f}, 2, 3);
+  const Tensor row = Tensor::Full(Shape{1, 3}, 0.3f);
+  ExpectScalarPathMatchesBroadcast(Tensor::Scalar(0.3f), row, m);
+  // A higher-rank one-element operand also takes the scalar path.
+  ExpectScalarPathMatchesBroadcast(Tensor::Full(Shape{1, 1, 1}, 0.3f), row, m);
+}
+
+TEST(ElementwiseTest, ScalarOperandMatchesBroadcastPathInt64) {
+  const Tensor m = Tensor::FromVectorInt({7, -7, 3, 0, 11, -2}, Shape{2, 3});
+  const Tensor row = Tensor::FullInt(Shape{1, 3}, 3);
+  ExpectScalarPathMatchesBroadcast(Tensor::ScalarInt(3), row, m);
+  ExpectScalarPathMatchesBroadcast(Tensor::FullInt(Shape{1, 1, 1}, 3), row, m);
+}
+
 TEST(ElementwiseTest, AddBroadcastRows) {
   const Tensor a = Mat({1, 2, 3, 4, 5, 6}, 2, 3);
   const Tensor row = Vec({10, 20, 30});
